@@ -59,6 +59,12 @@ recording overhead is reported.  ``--obs DIR`` exports the recorded
 session -- CI uploads it as the ``obs-trace`` artifact and renders
 ``repro obs report --markdown`` into the job summary.
 
+An eighth gate covers *calibration*: the full GT200 microbenchmark
+sweep (every Fig. 2 point as one batch of cluster jobs) runs serially
+and across a two-worker pool.  Both tables must hash to the recorded
+``CALIBRATION_SHA256``; the seconds and simulated events per second of
+each run are recorded so the trend reporter tracks the sweep.
+
 ``--check`` additionally writes every gate's measurements (instr/sec,
 speedups, cycle counts) to a machine-readable JSON file (default
 ``BENCH_engine_smoke.json``, ``--json PATH`` to relocate) that CI
@@ -154,6 +160,16 @@ SYMBOLIC_MAX_GRID_RATIO = 3.0
 #: so the grid genuinely fans out across the pool) with per-task
 #: chunking forced fine enough to give every injected fault a target.
 CHAOS_DIMS = (4, 4, 4, 4)
+
+#: sha256 of the full GT200 calibration tables' JSON
+#: (``calibrate(HardwareGpu()).to_json()``): any change to the timing
+#: simulator's scheduling must leave every table byte unchanged.
+CALIBRATION_SHA256 = (
+    "85b0c16b9bd776722570666cc5b25098bd81acac5d063e75bbde06f41ce66efc"
+)
+
+#: Pool width of the calibration gate's parallel run.
+CALIBRATION_WORKERS = 2
 
 #: Watchdog budget for the chaos gate's hung task (generous against
 #: slow shared runners; the injected hang sleeps far longer).
@@ -573,6 +589,43 @@ def run_obs(obs_dir: Path | None = None) -> dict:
     }
 
 
+class _CountingGpu(HardwareGpu):
+    """A HardwareGpu that counts the events its sweep points simulate."""
+
+    events = 0
+
+    def measure_uniform_sm(self, *args, **kwargs):
+        results = super().measure_uniform_sm(*args, **kwargs)
+        self.events += sum(r.events for r in results)
+        return results
+
+
+def run_calibration() -> dict:
+    """Calibration gate: the full sweep, serial and pooled, byte-identical."""
+    import hashlib
+
+    from repro.micro import calibrate
+
+    gate = {"expected_sha256": CALIBRATION_SHA256}
+    for name, workers in (("serial", 0), ("pool", CALIBRATION_WORKERS)):
+        gpu = _CountingGpu(workers=workers)
+        start = time.perf_counter()
+        tables = calibrate(gpu)
+        seconds = time.perf_counter() - start
+        gate[name] = {
+            "workers": workers,
+            "seconds": seconds,
+            "events": gpu.events,
+            "events_per_second": gpu.events / seconds,
+            "sha256": hashlib.sha256(tables.to_json().encode()).hexdigest(),
+        }
+    gate["identical"] = all(
+        gate[name]["sha256"] == CALIBRATION_SHA256
+        for name in ("serial", "pool")
+    )
+    return gate
+
+
 def check_chaos(chaos: dict) -> int:
     """Evaluate the chaos gate; print the verdicts, return exit code."""
     print(
@@ -655,6 +708,7 @@ def main(argv: list[str] | None = None) -> int:
     symbolic = run_symbolic()
     chaos = run_chaos()
     obs_gate = run_obs(args.obs)
+    calibration = run_calibration()
     if args.check:
         # Record the trajectory *before* evaluating any gate, so a
         # failing run still uploads the measurements that explain it.
@@ -668,6 +722,7 @@ def main(argv: list[str] | None = None) -> int:
                 "symbolic": symbolic,
                 "chaos": chaos,
                 "obs": obs_gate,
+                "calibration": calibration,
             },
         )
         print(f"perf trajectory written: {args.json}")
@@ -816,6 +871,21 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if not obs_gate["run_identical"]:
         print("FAIL: measured run differs with observability recording on")
+        return 1
+
+    for name in ("serial", "pool"):
+        run = calibration[name]
+        print(
+            f"calibration {name} (workers={run['workers']}): "
+            f"{run['seconds']:.2f} s, {run['events']} events "
+            f"({run['events_per_second'] / 1e3:.0f}k events/s), "
+            f"sha256 {run['sha256'][:12]}"
+        )
+    if not calibration["identical"]:
+        print(
+            "FAIL: calibration tables differ from the recorded sha256 "
+            f"{CALIBRATION_SHA256[:12]}"
+        )
         return 1
 
     if args.update:

@@ -98,8 +98,8 @@ def _make_model(args):
     )
     from repro.model import PerformanceModel
 
-    # --workers governs both layers: the functional-simulation engine
-    # and the timing simulator's cluster fan-out.  --no-cache likewise
+    # --workers governs every layer: the functional-simulation engine,
+    # the timing simulator's cluster fan-out and the calibration sweep.  --no-cache likewise
     # disables the measured-run memo cache next to the trace cache.
     # --spec selects the architecture; calibration caches are per-spec.
     spec = _resolve_spec(args)
@@ -575,8 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=0,
-            help="process-pool width for the simulation engine and the "
-            "timing simulator (0 = in-process)",
+            help="process-pool width for the simulation engine, timing "
+            "simulator and calibration (0 = in-process)",
         )
         case.add_argument(
             "--full",

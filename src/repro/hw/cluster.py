@@ -12,6 +12,18 @@ completion, the scoreboard window, the SM issue port, and its pipe.
 Completion happens a latency after pipe occupancy, with deterministic
 hash jitter (which is what smooths the throughput curves near their
 saturation knee, as on real silicon).
+
+Events are scheduled through one heap ordered by ``(time, seq)``, where
+``seq`` counts pushes.  A warp that waits on a busy issue port or pipe
+is re-checked once per competing issue, so crowded SMs would cost many
+pops per issued event.  Warps blocked at the same time therefore share
+one heap entry, a *convoy*, processed in order.  This keeps the
+one-warp-per-pop order exactly: pushes with equal times and no push
+between them are adjacent in ``(time, seq)`` order.  A convoy member
+whose resource selector (SM, pipe, shared-operand collector) equals
+that of a check that failed at the same time, with no issue since,
+reads the same state; it is re-queued with that check's result without
+evaluating it again.
 """
 
 from __future__ import annotations
@@ -74,6 +86,7 @@ class _Warp:
         "waiting",
         "last_arith",
         "last_shared",
+        "sel",
     )
 
     def __init__(self, stream, block, sm: int, gwid: int) -> None:
@@ -87,6 +100,9 @@ class _Warp:
         self.waiting = False
         self.last_arith = 0.0
         self.last_shared = 0.0
+        # Selector (SM, pipe, collector) of the resource check the
+        # current event last failed; valid while the warp is in a convoy.
+        self.sel = -1
 
 
 class _Block:
@@ -167,7 +183,9 @@ class ClusterSimulator:
             if self.use_cache
             else None
         )
-        heap: list[tuple[float, int, _Warp]] = []
+        # Entries are (time, seq, item): item is a warp, or a convoy --
+        # a list of warps blocked on resources, processed in order.
+        heap: list[tuple] = []
         seq = 0
         gwid = 0
         dram_free = 0.0
@@ -237,10 +255,58 @@ class ClusterSimulator:
         halfwarp_cycles = cfg.shared_halfwarp_cycles
         arith_in_order = cfg.arith_in_order
         shared_in_order = cfg.shared_in_order
+        issue_gap = cfg.issue_gap
+        replay_stall = cfg.replay_warp_stall
+        smem_operand_latency = cfg.smem_operand_latency
+        shared_latency = cfg.shared_latency
+        global_latency = cfg.global_latency
+        texcache_hit_latency = cfg.texcache_hit_latency
+        arith_jitter = cfg.arith_jitter
+        shared_jitter = cfg.shared_jitter
+        global_jitter = cfg.global_jitter
+        jitter = deterministic_jitter
+        dram_rate = self.dram_rate
         end_time = 0.0
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        # The newest convoy, which a blocked warp may join while no push
+        # has happened since (seq == conv_seq) and its time is equal.
+        conv: list[_Warp] = []
+        conv_t = 0.0
+        conv_seq = -1
+        # The convoy being processed, and the last resource check that
+        # failed in it: its selector and issue time.  Only an issue
+        # changes the SM state such a check reads.
+        convoy = None
+        fail_sel = -1
+        fail_key = 0.0
 
-        while heap:
-            t, _, warp = heapq.heappop(heap)
+        while True:
+            if convoy is not None:
+                warp = next(convoy, None)
+                if warp is None:
+                    convoy = None
+                    continue
+                if warp.sel == fail_sel:
+                    # Same selector at the same t with no issue since:
+                    # the check would fail again with the same key.
+                    if fail_key == conv_t and seq == conv_seq:
+                        conv.append(warp)
+                    else:
+                        conv = [warp]
+                        heappush(heap, (fail_key, seq, conv))
+                        seq += 1
+                        conv_t = fail_key
+                        conv_seq = seq
+                    continue
+            elif heap:
+                t, _, warp = heappop(heap)
+                if warp.__class__ is list:
+                    convoy = iter(warp)
+                    fail_sel = -1
+                    continue
+            else:
+                break
             idx = warp.idx
             stream = warp.stream
             event = stream[idx]
@@ -270,7 +336,7 @@ class ClusterSimulator:
             ):
                 ready = warp.last_shared
             if ready > t + 1e-9:
-                heapq.heappush(heap, (ready, seq, warp))
+                heappush(heap, (ready, seq, warp))
                 seq += 1
                 continue
 
@@ -299,14 +365,29 @@ class ClusterSimulator:
             if pipe_free > issue:
                 issue = pipe_free
             if issue > t + slack:
-                heapq.heappush(heap, (issue, seq, warp))
-                seq += 1
+                if kind == EV_ARITH or kind == EV_ARITH_SHARED:
+                    sel = warp.sm << 3 | event[2] << 1
+                    if kind == EV_ARITH_SHARED and event[3]:
+                        sel |= 1
+                else:
+                    sel = warp.sm << 3 | 2
+                warp.sel = fail_sel = sel
+                fail_key = issue
+                if issue == conv_t and seq == conv_seq:
+                    conv.append(warp)
+                else:
+                    conv = [warp]
+                    heappush(heap, (issue, seq, conv))
+                    seq += 1
+                    conv_t = issue
+                    conv_seq = seq
                 continue
 
             events_processed += 1
-            sm.issue_free = issue + cfg.issue_gap
+            fail_sel = -1
+            sm.issue_free = issue + issue_gap
             jkey = (warp.gwid << 20) ^ idx
-            next_gap = cfg.issue_gap
+            next_gap = issue_gap
 
             if kind == EV_ARITH:
                 type_index = event[2]
@@ -316,7 +397,7 @@ class ClusterSimulator:
                     issue
                     + interval
                     + latencies[type_index]
-                    + deterministic_jitter(jkey, cfg.arith_jitter)
+                    + jitter(jkey, arith_jitter)
                 )
             elif kind == EV_ARITH_SHARED:
                 type_index = event[2]
@@ -327,18 +408,18 @@ class ClusterSimulator:
                     issue
                     + interval
                     + latencies[type_index]
-                    + deterministic_jitter(jkey, cfg.arith_jitter)
+                    + jitter(jkey, arith_jitter)
                 )
                 if ntrans:
                     # issue already waited for shared_free (see above),
                     # so the shared pipe starts serving at issue time.
                     sm.shared_free = issue + halfwarp_cycles * ntrans
-                    comp += cfg.smem_operand_latency
+                    comp += smem_operand_latency
                     # Conflicted accesses replay: the issuing warp stalls
                     # in order until the serialization drains.
                     extra = ntrans - min(ntrans, 2)
                     if extra:
-                        stall = cfg.replay_warp_stall * extra
+                        stall = replay_stall * extra
                         if stall > next_gap:
                             next_gap = stall
             elif kind == EV_SHARED:
@@ -349,12 +430,12 @@ class ClusterSimulator:
                     sm.shared_free = start + halfwarp_cycles * ntrans
                     comp = (
                         sm.shared_free
-                        + cfg.shared_latency
-                        + deterministic_jitter(jkey, cfg.shared_jitter)
+                        + shared_latency
+                        + jitter(jkey, shared_jitter)
                     )
                     extra = ntrans - min(ntrans, 2)
                     if extra:
-                        stall = cfg.replay_warp_stall * extra
+                        stall = replay_stall * extra
                         if stall > next_gap:
                             next_gap = stall
                 else:
@@ -365,7 +446,7 @@ class ClusterSimulator:
                 # the issuing warp stalls per extra transaction.
                 extra_txn = event[2] - min(event[2], 2)
                 if extra_txn:
-                    stall = cfg.replay_warp_stall * extra_txn
+                    stall = replay_stall * extra_txn
                     if stall > next_gap:
                         next_gap = stall
                 nbytes = event[3]
@@ -386,16 +467,16 @@ class ClusterSimulator:
                             hit_any = True
                     nbytes = miss_bytes
                     if hit_any:
-                        hit_time = issue + cfg.texcache_hit_latency
+                        hit_time = issue + texcache_hit_latency
                 if nbytes > 0:
                     start = issue if issue > dram_free else dram_free
-                    service = nbytes / self.dram_rate
+                    service = nbytes / dram_rate
                     dram_free = start + service
                     dram_busy += service
                     comp = (
                         dram_free
-                        + cfg.global_latency
-                        + deterministic_jitter(jkey, cfg.global_jitter)
+                        + global_latency
+                        + jitter(jkey, global_jitter)
                     )
                 else:
                     comp = issue + 1.0
@@ -419,7 +500,7 @@ class ClusterSimulator:
                 end_time = comp
             warp.idx = idx + 1
             if warp.idx < len(stream):
-                heapq.heappush(heap, (issue + next_gap, seq, warp))
+                heappush(heap, (issue + next_gap, seq, warp))
                 seq += 1
             else:
                 warp_finished(warp)

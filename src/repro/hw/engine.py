@@ -70,6 +70,7 @@ def simulate_clusters(
     workers: int = 0,
     task_timeout: float | None = None,
     health: PoolHealth | None = None,
+    **span_attrs,
 ) -> list[ClusterResult]:
     """Simulate cluster jobs, preserving order; parallel when configured.
 
@@ -78,12 +79,13 @@ def simulate_clusters(
     aggregate them deterministically in job order.  Worker deaths and
     hung tasks (``task_timeout``) degrade to in-process re-execution of
     the affected jobs -- still bit-identical -- with the counters
-    recorded in ``health`` (see :mod:`repro.pool`).
+    recorded in ``health`` (see :mod:`repro.pool`).  ``span_attrs`` tag
+    the ``hw.simulate_clusters`` obs span.
     """
     from repro import obs
 
     with obs.span(
-        "hw.simulate_clusters", jobs=len(jobs), workers=workers
+        "hw.simulate_clusters", jobs=len(jobs), workers=workers, **span_attrs
     ):
         return map_tasks(
             jobs,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from repro.arch.specs import GpuSpec, GTX285
 from repro.errors import HardwareModelError
-from repro.hw.cluster import BlockWork, ClusterResult, ClusterSimulator
+from repro.hw.cluster import BlockWork, ClusterResult
 from repro.hw.config import HwConfig, config_fingerprint
 from repro.hw.engine import (
     HW_CACHE_VERSION,
@@ -124,14 +124,43 @@ class HardwareGpu:
     # ------------------------------------------------------------------
     def measure_uniform_sm(
         self,
-        sm_blocks: list[BlockWork],
+        points: list[list[BlockWork]],
         resident_per_sm: int,
         use_cache: bool = False,
-    ) -> ClusterResult:
-        """Time one cluster whose SMs all run the same block queue."""
-        cluster = ClusterSimulator(self.spec, self.config, use_cache)
-        queues = [list(sm_blocks) for _ in range(self.spec.sms_per_cluster)]
-        return cluster.run(queues, resident_per_sm)
+    ) -> list[ClusterResult]:
+        """Time one cluster per point, its SMs all running that queue.
+
+        ``points`` are per-SM block queues, e.g. the points of a
+        microbenchmark sweep; the results come back in the same order.
+        Each point is an independent cluster job: they fan out over
+        ``workers`` like a measurement's clusters, largest first so the
+        pool stays balanced.
+        """
+        sizes = [
+            sum(len(stream) for work in queue for stream in work)
+            for queue in points
+        ]
+        order = sorted(range(len(points)), key=lambda i: -sizes[i])
+        jobs = [
+            (
+                [list(points[i]) for _ in range(self.spec.sms_per_cluster)],
+                resident_per_sm,
+            )
+            for i in order
+        ]
+        results = simulate_clusters(
+            jobs,
+            self.spec,
+            self.config,
+            use_cache,
+            self._effective_workers(jobs),
+            task_timeout=self.task_timeout,
+            points=len(jobs),
+        )
+        ordered: list[ClusterResult] = [None] * len(jobs)
+        for i, result in zip(order, results):
+            ordered[i] = result
+        return ordered
 
     # ------------------------------------------------------------------
     # full launches

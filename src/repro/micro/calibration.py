@@ -12,14 +12,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import CalibrationError
+from repro.hw.config import config_fingerprint
 from repro.hw.gpu import HardwareGpu
 from repro.micro.globalmem import GlobalBenchmarkResult, run_synthetic
 from repro.micro.instruction import (
+    SWEEP_RESIDENT_BLOCKS,
     InstructionThroughputTable,
-    measure_instruction_throughput,
+    instruction_points,
     warp_counts_for,
 )
-from repro.micro.shared import SharedBandwidthTable, measure_shared_bandwidth
+from repro.micro.shared import SharedBandwidthTable, shared_points
 from repro.util import spec_fingerprint
 
 #: Bump when the on-disk calibration file schema changes.
@@ -138,7 +140,8 @@ class CalibrationTables:
         return cls.from_json(Path(path).read_text(), gpu=gpu)
 
 
-_DEFAULT_TABLES: dict[int, CalibrationTables] = {}
+#: default_tables' memo, keyed by the content of (spec, timing config).
+_DEFAULT_TABLES: dict[tuple[str, str], CalibrationTables] = {}
 
 
 def calibrate(
@@ -156,19 +159,35 @@ def calibrate(
     gpu = gpu or HardwareGpu()
     if warp_counts is None:
         warp_counts = warp_counts_for(gpu.spec)
-    instruction = measure_instruction_throughput(
-        gpu, warp_counts=warp_counts, iterations=iterations
+    # Every sweep point is an independent cluster job: one batch lets
+    # them all share the timing layer's pool (``gpu.workers``).
+    inst_points, inst_table = instruction_points(
+        gpu.spec, warp_counts, iterations=iterations
     )
-    shared = measure_shared_bandwidth(
-        gpu, warp_counts=warp_counts, iterations=iterations
+    smem_points, smem_table = shared_points(
+        gpu.spec, warp_counts, iterations=iterations
     )
-    return CalibrationTables(instruction=instruction, shared=shared, gpu=gpu)
+    results = gpu.measure_uniform_sm(
+        inst_points + smem_points, SWEEP_RESIDENT_BLOCKS
+    )
+    split = len(inst_points)
+    return CalibrationTables(
+        instruction=inst_table(results[:split]),
+        shared=smem_table(results[split:]),
+        gpu=gpu,
+    )
 
 
 def default_tables(gpu: HardwareGpu | None = None) -> CalibrationTables:
-    """Process-wide cached calibration for the default hardware."""
+    """Process-wide cached calibration of a hardware instance.
+
+    Memoized by the fingerprints of the spec and timing configuration,
+    so every ``HardwareGpu`` of the same architecture shares one table
+    set and a different architecture never gets another's tables.
+    """
     gpu = gpu or HardwareGpu()
-    key = id(gpu.config) ^ id(gpu.spec)
-    if key not in _DEFAULT_TABLES:
-        _DEFAULT_TABLES[key] = calibrate(gpu)
-    return _DEFAULT_TABLES[key]
+    key = (spec_fingerprint(gpu.spec), config_fingerprint(gpu.config))
+    tables = _DEFAULT_TABLES.get(key)
+    if tables is None:
+        tables = _DEFAULT_TABLES[key] = calibrate(gpu)
+    return tables

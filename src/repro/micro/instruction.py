@@ -18,6 +18,9 @@ from repro.sim.trace import TYPE_NAMES
 #: Default warp grid: dense at the knee, sparse near the ceiling.
 DEFAULT_WARP_COUNTS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 28, 32)
 
+#: Resident-block limit of every sweep point (the GT200 ceiling of 8).
+SWEEP_RESIDENT_BLOCKS = 8
+
 #: Sparse extension points for wide-warp-count architectures.
 _EXTENDED_WARP_COUNTS = (40, 48, 56, 64)
 
@@ -63,6 +66,40 @@ class InstructionThroughputTable:
         return self.warp_counts[-1]
 
 
+def instruction_points(
+    spec: GpuSpec,
+    warp_counts: tuple[int, ...] = DEFAULT_WARP_COUNTS,
+    types: tuple[str, ...] = TYPE_NAMES,
+    iterations: int = 60,
+    unroll: int = 16,
+):
+    """The sweep of Fig. 2 (left) as timing points, and its table.
+
+    Returns ``(points, table)``: one per-SM block queue per (type, warp
+    count), type-major, and a function turning the points' cluster
+    results (in the same order) into the throughput table.
+    """
+    points = []
+    for type_name in types:
+        kernel = instruction_benchmark(type_name, unroll=unroll)
+        stream = single_warp_stream(kernel, {"iters": iterations})
+        points.extend(sm_resident_blocks(stream, warps) for warps in warp_counts)
+
+    def table(results) -> InstructionThroughputTable:
+        series: dict[str, tuple[float, ...]] = {}
+        for t, type_name in enumerate(types):
+            values = []
+            for w, warps in enumerate(warp_counts):
+                result = results[t * len(warp_counts) + w]
+                seconds = result.cycles / spec.core_clock_hz
+                instructions = iterations * unroll * warps * spec.num_sms
+                values.append(instructions / seconds / 1e9)
+            series[type_name] = tuple(values)
+        return InstructionThroughputTable(tuple(warp_counts), series)
+
+    return points, table
+
+
 def measure_instruction_throughput(
     gpu: HardwareGpu | None = None,
     warp_counts: tuple[int, ...] = DEFAULT_WARP_COUNTS,
@@ -72,21 +109,10 @@ def measure_instruction_throughput(
 ) -> InstructionThroughputTable:
     """Run the sweep of Fig. 2 (left) on the hardware simulator."""
     gpu = gpu or HardwareGpu()
-    spec = gpu.spec
-    table: dict[str, tuple[float, ...]] = {}
-    for type_name in types:
-        kernel = instruction_benchmark(type_name, unroll=unroll)
-        stream = single_warp_stream(kernel, {"iters": iterations})
-        series = []
-        for warps in warp_counts:
-            result = gpu.measure_uniform_sm(
-                sm_resident_blocks(stream, warps), resident_per_sm=8
-            )
-            seconds = result.cycles / spec.core_clock_hz
-            instructions = iterations * unroll * warps * spec.num_sms
-            series.append(instructions / seconds / 1e9)
-        table[type_name] = tuple(series)
-    return InstructionThroughputTable(tuple(warp_counts), table)
+    points, table = instruction_points(
+        gpu.spec, warp_counts, types, iterations, unroll
+    )
+    return table(gpu.measure_uniform_sm(points, SWEEP_RESIDENT_BLOCKS))
 
 
 def peak_table(spec: GpuSpec = GTX285) -> dict[str, float]:

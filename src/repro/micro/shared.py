@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.arch.specs import GpuSpec
 from repro.hw.gpu import HardwareGpu
 from repro.micro.codegen import shared_copy_benchmark
-from repro.micro.instruction import DEFAULT_WARP_COUNTS
+from repro.micro.instruction import DEFAULT_WARP_COUNTS, SWEEP_RESIDENT_BLOCKS
 from repro.micro.runner import single_warp_stream, sm_resident_blocks
 from repro.sim.functional import FunctionalSimulator, LaunchConfig
 
@@ -42,15 +43,17 @@ class SharedBandwidthTable:
         return self.warp_counts[-1]
 
 
-def measure_shared_bandwidth(
-    gpu: HardwareGpu | None = None,
+def shared_points(
+    spec: GpuSpec,
     warp_counts: tuple[int, ...] = DEFAULT_WARP_COUNTS,
     iterations: int = 60,
     unroll: int = 8,
-) -> SharedBandwidthTable:
-    """Run the sweep of Fig. 2 (right) on the hardware simulator."""
-    gpu = gpu or HardwareGpu()
-    spec = gpu.spec
+):
+    """The sweep of Fig. 2 (right) as timing points, and its table.
+
+    Returns ``(points, table)``: one per-SM block queue per warp count
+    and a function turning their cluster results into the table.
+    """
     kernel = shared_copy_benchmark(unroll=unroll)
 
     # One functional run gives both the stream and the exact per-warp
@@ -60,18 +63,31 @@ def measure_shared_bandwidth(
     block = simulator.run_block(launch, (0, 0))
     stream = block.warp_streams[0]
     transactions_per_warp = block.totals.shared_transactions
+    points = [sm_resident_blocks(stream, warps) for warps in warp_counts]
 
-    series = []
-    for warps in warp_counts:
-        result = gpu.measure_uniform_sm(
-            sm_resident_blocks(stream, warps), resident_per_sm=8
-        )
-        seconds = result.cycles / spec.core_clock_hz
-        total_bytes = (
-            transactions_per_warp
-            * warps
-            * spec.num_sms
-            * SHARED_TRANSACTION_BYTES
-        )
-        series.append(total_bytes / seconds)
-    return SharedBandwidthTable(tuple(warp_counts), tuple(series))
+    def table(results) -> SharedBandwidthTable:
+        series = []
+        for warps, result in zip(warp_counts, results):
+            seconds = result.cycles / spec.core_clock_hz
+            total_bytes = (
+                transactions_per_warp
+                * warps
+                * spec.num_sms
+                * SHARED_TRANSACTION_BYTES
+            )
+            series.append(total_bytes / seconds)
+        return SharedBandwidthTable(tuple(warp_counts), tuple(series))
+
+    return points, table
+
+
+def measure_shared_bandwidth(
+    gpu: HardwareGpu | None = None,
+    warp_counts: tuple[int, ...] = DEFAULT_WARP_COUNTS,
+    iterations: int = 60,
+    unroll: int = 8,
+) -> SharedBandwidthTable:
+    """Run the sweep of Fig. 2 (right) on the hardware simulator."""
+    gpu = gpu or HardwareGpu()
+    points, table = shared_points(gpu.spec, warp_counts, iterations, unroll)
+    return table(gpu.measure_uniform_sm(points, SWEEP_RESIDENT_BLOCKS))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.arch.occupancy import KernelResources, Occupancy, compute_occupancy
 from repro.arch.specs import GpuSpec, GTX285
+from repro.hw.gpu import HardwareGpu
 from repro.micro.calibration import CalibrationTables, default_tables
 from repro.model.components import ComponentModels, ComponentTimes, ZERO_TIMES
 from repro.model.extractor import (
@@ -43,7 +44,11 @@ class AnalysisContext:
 
 
 class PerformanceModel:
-    """Analyze dynamic traces into quantitative performance reports."""
+    """Analyze dynamic traces into quantitative performance reports.
+
+    Without ``tables`` the model calibrates ``HardwareGpu(spec=spec)``
+    once per process (:func:`repro.micro.calibration.default_tables`).
+    """
 
     def __init__(
         self,
@@ -51,7 +56,9 @@ class PerformanceModel:
         spec: GpuSpec = GTX285,
     ) -> None:
         self.spec = spec
-        self.tables = tables if tables is not None else default_tables()
+        if tables is None:
+            tables = default_tables(HardwareGpu(spec=spec))
+        self.tables = tables
         self.models = ComponentModels(self.tables, spec)
 
     # ------------------------------------------------------------------

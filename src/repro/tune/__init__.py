@@ -143,23 +143,25 @@ def ensure_profile(
     """
     import os
 
+    from repro import obs
     from repro.arch.specs import GTX285
     from repro.util import spec_fingerprint
 
     spec = GTX285 if spec is None else spec
-    profile = load_profile(spec_fingerprint(spec), directory=directory)
-    if profile is not None:
-        return profile
-    opted_out = os.environ.get(TUNE_AUTO_ENV, "").strip().lower() in (
-        "0",
-        "no",
-        "false",
-        "off",
-    )
-    if dry_run or opted_out:
-        return None
-    if on_tune is not None:
-        on_tune()
-    return autotune(
-        spec=spec, save=True, directory=directory, **autotune_kwargs
-    )
+    with obs.span("tune.ensure_profile"):
+        profile = load_profile(spec_fingerprint(spec), directory=directory)
+        if profile is not None:
+            return profile
+        opted_out = os.environ.get(TUNE_AUTO_ENV, "").strip().lower() in (
+            "0",
+            "no",
+            "false",
+            "off",
+        )
+        if dry_run or opted_out:
+            return None
+        if on_tune is not None:
+            on_tune()
+        return autotune(
+            spec=spec, save=True, directory=directory, **autotune_kwargs
+        )

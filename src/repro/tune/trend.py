@@ -45,6 +45,10 @@ GATE_METRICS: tuple[tuple[str, bool], ...] = (
     ("barrier.matmul.batched_ips", True),
     ("barrier.cyclic_reduction.speedup", True),
     ("barrier.cyclic_reduction.batched_ips", True),
+    ("calibration.serial.seconds", False),
+    ("calibration.serial.events_per_second", True),
+    ("calibration.pool.seconds", False),
+    ("calibration.pool.events_per_second", True),
 )
 
 #: Dotted paths of the bit-identity flags each payload carries.

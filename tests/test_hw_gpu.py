@@ -96,7 +96,7 @@ class TestMeasurement:
     def test_measure_uniform_sm(self):
         gpu = HardwareGpu()
         stream = [(EV_ARITH, 1, 1, 0, None)] * 40
-        result = gpu.measure_uniform_sm([[stream] * 4], resident_per_sm=8)
+        (result,) = gpu.measure_uniform_sm([[[stream] * 4]], resident_per_sm=8)
         assert result.cycles > 0
 
     def test_milliseconds_property(self):

@@ -191,3 +191,42 @@ class TestCalibrationTables:
         detached = CalibrationTables.from_json(tables.to_json())
         with pytest.raises(CalibrationError):
             detached.global_benchmark(99, 64, 4)
+
+
+class TestDefaultTables:
+    """``default_tables`` memoizes by content and follows the spec."""
+
+    @pytest.fixture
+    def cheap_calibration(self, monkeypatch):
+        """A fresh memo, filled by short sweeps over the spec's grid."""
+        from repro.micro import calibration
+
+        real = calibration.calibrate
+        calls = []
+
+        def calibrate(gpu):
+            calls.append(gpu.spec.name)
+            return real(gpu, iterations=1)
+
+        monkeypatch.setattr(calibration, "_DEFAULT_TABLES", {})
+        monkeypatch.setattr(calibration, "calibrate", calibrate)
+        return calls
+
+    def test_fresh_gpus_share_one_tables_object(self, cheap_calibration):
+        from repro.micro import default_tables
+
+        first = default_tables(HardwareGpu())
+        second = default_tables(HardwareGpu())
+        assert first is second
+        assert len(cheap_calibration) == 1
+
+    def test_model_for_spec_calibrates_that_spec(self, cheap_calibration):
+        from repro.arch.registry import get_spec
+        from repro.micro.instruction import warp_counts_for
+        from repro.model import PerformanceModel
+
+        kepler = get_spec("kepler-like")
+        model = PerformanceModel(spec=kepler)
+        assert model.tables.instruction.warp_counts == warp_counts_for(kepler)
+        assert model.tables.gpu.spec == kepler
+        assert max(model.tables.instruction.warp_counts) > 32
