@@ -32,17 +32,7 @@ oracle and through the grid-batched interpreter.  Per-block traces and
 end-to-end predictions must be bit-identical, and each workload must
 batch at least ``BARRIER_MIN_SPEEDUP``x faster than the oracle.
 
-A fifth gate covers *symbolic trace synthesis*: the whole kernel zoo
-runs through the engine in ``trace_mode="both"`` (which raises unless
-every synthesized trace is pickle-byte-identical to its interpreted
-twin), every affine kernel must synthesize all of its classes and SpMV
-must fall back cleanly; then a large cyclic-reduction grid (one system
-per block, so per-block work is grid-independent) is traced through
-the batched interpreter and through the symbolic engine, demanding
-identical aggregates, at least ``SYMBOLIC_MIN_SPEEDUP``x, and a
-symbolic wall-clock that stays flat as the grid grows 16x.
-
-A sixth gate covers the *fault-tolerant execution substrate*: the
+A fifth gate covers the *fault-tolerant execution substrate*: the
 SpMV small grid runs healthy and serial once, then again through the
 process pool with deterministic faults injected (a worker crash, a hung
 task reaped by the watchdog, a corrupted trace-cache entry, a timing-
@@ -52,14 +42,14 @@ failures in its health counters.  ``--chaos`` runs only this gate
 (used by CI's chaos step, typically with ``$REPRO_FAULTS`` set so the
 pool layer also proves it honors environment-installed plans).
 
-A seventh gate covers *observability*: the smoke workload runs with
+A sixth gate covers *observability*: the smoke workload runs with
 span/metric recording off and on; traces (engine_stats normalized) and
 MeasuredRuns must be pickle-byte-identical either way, and the
 recording overhead is reported.  ``--obs DIR`` exports the recorded
 session -- CI uploads it as the ``obs-trace`` artifact and renders
 ``repro obs report --markdown`` into the job summary.
 
-An eighth gate covers *calibration*: the full GT200 microbenchmark
+A seventh gate covers *calibration*: the full GT200 microbenchmark
 sweep (every Fig. 2 point as one batch of cluster jobs) runs serially
 and across a two-worker pool.  Both tables must hash to the recorded
 ``CALIBRATION_SHA256``; the seconds and simulated events per second of
@@ -139,23 +129,6 @@ BARRIER_CR_N, BARRIER_CR_SYSTEMS = 128, 40
 #: (per workload; observed ~6-18x, gated conservatively).
 BARRIER_MIN_SPEEDUP = 2.0
 
-#: Symbolic-gate workload: cyclic reduction with one system per block,
-#: so per-block work (and hence the one-class synthesis cost) is
-#: independent of the grid size.
-SYMBOLIC_CR_N = 128
-SYMBOLIC_SYSTEMS_SMALL = 64
-SYMBOLIC_SYSTEMS_LARGE = 1024
-
-#: Acceptance floor for the symbolic engine vs the batched interpreter
-#: on the large grid (observed ~20x; per-block synthesis cost is
-#: grid-independent so the ratio grows with the grid).
-SYMBOLIC_MIN_SPEEDUP = 10.0
-
-#: The symbolic wall-clock must stay flat as the grid grows 16x --
-#: synthesis is per class, not per block (3x absorbs timer noise on
-#: sub-second runs).
-SYMBOLIC_MAX_GRID_RATIO = 3.0
-
 #: Chaos-gate workload: a small data-dependent SpMV lattice (no dedup,
 #: so the grid genuinely fans out across the pool) with per-task
 #: chunking forced fine enough to give every injected fault a target.
@@ -187,12 +160,7 @@ def run_once() -> dict:
     serial_seconds = time.perf_counter() - serial_start
 
     engine_start = time.perf_counter()
-    # This gate measures the dedup engine's interpreted probe path;
-    # the symbolic path has its own gate (run_symbolic) sized for a
-    # workload where per-block cost is grid-independent.
-    engine = SimulationEngine(
-        kernel, gmem=prepare_problem(N, TILE).gmem, trace_mode="interpret"
-    )
+    engine = SimulationEngine(kernel, gmem=prepare_problem(N, TILE).gmem)
     fast = engine.run(launch)
     engine_seconds = time.perf_counter() - engine_start
 
@@ -368,68 +336,6 @@ def run_barrier() -> dict:
     }
 
 
-def run_symbolic() -> dict:
-    """Zoo-wide synthesis audit plus the closed-form speedup gate."""
-    from repro.analysis.report import BUILTIN_KERNELS, analysis_case
-    from repro.apps.tridiag import (
-        build_cr_kernel,
-        prepare_problem as cr_problem,
-    )
-
-    # trace_mode="both" raises AnalysisError unless every synthesized
-    # trace is pickle-byte-identical to its interpreted twin, so just
-    # completing the sweep is the bit-identity gate.
-    zoo = {}
-    for name in BUILTIN_KERNELS:
-        case = analysis_case(name)
-        engine = SimulationEngine(
-            case.kernel, gmem=case.gmem, trace_mode="both"
-        )
-        stats = engine.run(case.launch).engine_stats
-        zoo[name] = {
-            "block_classes": stats.block_classes,
-            "synthesized_classes": stats.synthesized_classes,
-            "interpreted_classes": stats.interpreted_classes,
-        }
-
-    kernel = build_cr_kernel(SYMBOLIC_CR_N)
-
-    def symbolic_run(systems):
-        problem = cr_problem(SYMBOLIC_CR_N, systems)
-        launch = problem.launch()
-        start = time.perf_counter()
-        trace = SimulationEngine(kernel, gmem=problem.gmem).run(launch)
-        return launch, trace, time.perf_counter() - start
-
-    _, _, small_seconds = symbolic_run(SYMBOLIC_SYSTEMS_SMALL)
-    launch, symbolic, symbolic_seconds = symbolic_run(SYMBOLIC_SYSTEMS_LARGE)
-
-    serial_start = time.perf_counter()
-    serial = FunctionalSimulator(
-        kernel,
-        gmem=cr_problem(SYMBOLIC_CR_N, SYMBOLIC_SYSTEMS_LARGE).gmem,
-        batched=True,
-    ).run(launch)
-    serial_seconds = time.perf_counter() - serial_start
-
-    identical = [s.canonical() for s in serial.stages] == [
-        s.canonical() for s in symbolic.stages
-    ]
-    return {
-        "zoo": zoo,
-        "n": SYMBOLIC_CR_N,
-        "blocks_small": SYMBOLIC_SYSTEMS_SMALL,
-        "blocks_large": launch.num_blocks,
-        "symbolic_seconds_small": small_seconds,
-        "symbolic_seconds": symbolic_seconds,
-        "serial_seconds": serial_seconds,
-        "speedup": serial_seconds / symbolic_seconds,
-        "grid_ratio": symbolic_seconds / small_seconds,
-        "identical": identical,
-        "engine": symbolic.engine_stats.summary(),
-    }
-
-
 def run_chaos() -> dict:
     """Fault-injection gate: degraded runs must equal the healthy one.
 
@@ -541,9 +447,7 @@ def run_obs(obs_dir: Path | None = None) -> dict:
 
     def engine_trace():
         return SimulationEngine(
-            kernel,
-            gmem=prepare_problem(N, TILE).gmem,
-            trace_mode="interpret",
+            kernel, gmem=prepare_problem(N, TILE).gmem
         ).run(launch)
 
     off_start = time.perf_counter()
@@ -705,7 +609,6 @@ def main(argv: list[str] | None = None) -> int:
     timing = run_timing()
     functional = run_functional()
     barrier = run_barrier()
-    symbolic = run_symbolic()
     chaos = run_chaos()
     obs_gate = run_obs(args.obs)
     calibration = run_calibration()
@@ -719,7 +622,6 @@ def main(argv: list[str] | None = None) -> int:
                 "timing": timing,
                 "functional": functional,
                 "barrier": barrier,
-                "symbolic": symbolic,
                 "chaos": chaos,
                 "obs": obs_gate,
                 "calibration": calibration,
@@ -804,57 +706,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"< {BARRIER_MIN_SPEEDUP}x"
             )
             return 1
-
-    synthesized_zoo = [
-        name
-        for name, counts in symbolic["zoo"].items()
-        if counts["synthesized_classes"] == counts["block_classes"] >= 1
-    ]
-    print(
-        f"symbolic zoo audit (trace_mode=both): "
-        f"{len(synthesized_zoo)}/{len(symbolic['zoo'])} kernels fully "
-        f"synthesized; spmv interpreted "
-        f"{symbolic['zoo']['spmv']['interpreted_classes']} classes"
-    )
-    print(
-        f"symbolic cyclic-reduction n={symbolic['n']}: "
-        f"serial {symbolic['serial_seconds']:.2f} s "
-        f"({symbolic['blocks_large']} blocks), "
-        f"symbolic {symbolic['symbolic_seconds']:.2f} s "
-        f"({symbolic['speedup']:.1f}x); "
-        f"{symbolic['blocks_small']} -> {symbolic['blocks_large']} blocks "
-        f"grid ratio {symbolic['grid_ratio']:.2f}x"
-    )
-    print(f"symbolic engine: {symbolic['engine']}")
-    for name, counts in symbolic["zoo"].items():
-        affine = name != "spmv"
-        synthesized = counts["synthesized_classes"] == counts["block_classes"]
-        if affine and not (synthesized and counts["block_classes"] >= 1):
-            print(f"FAIL: affine kernel {name} not fully synthesized: {counts}")
-            return 1
-        if not affine and counts["synthesized_classes"] != 0:
-            print(f"FAIL: data-dependent {name} claims synthesis: {counts}")
-            return 1
-    if not symbolic["identical"]:
-        print(
-            "FAIL: symbolic engine aggregates differ from the serial "
-            "full-grid interpreter"
-        )
-        return 1
-    if symbolic["speedup"] < SYMBOLIC_MIN_SPEEDUP:
-        print(
-            f"FAIL: symbolic speedup {symbolic['speedup']:.1f}x "
-            f"< {SYMBOLIC_MIN_SPEEDUP}x"
-        )
-        return 1
-    if symbolic["grid_ratio"] > SYMBOLIC_MAX_GRID_RATIO:
-        print(
-            f"FAIL: symbolic wall-clock grew {symbolic['grid_ratio']:.2f}x "
-            f"over a {symbolic['blocks_large'] // symbolic['blocks_small']}x "
-            f"grid (limit {SYMBOLIC_MAX_GRID_RATIO}x); per-block synthesis "
-            "cost is no longer grid-independent"
-        )
-        return 1
 
     if check_chaos(chaos):
         return 1

@@ -10,10 +10,6 @@ Three layers, bottom to top:
 - :mod:`repro.analysis.dedup_proof` -- a segment-alignment proof over
   global-address ctaid strides that certifies block-dedup classes
   without probe simulations.
-- :mod:`repro.analysis.symbolic` -- closed-form trace synthesis: under
-  a data-freedom coverage gate, a dedup class's representative
-  :class:`BlockTrace` is produced without interpreting memory contents,
-  byte-identical to the interpreters' output.
 - :mod:`repro.analysis.checks` / :mod:`repro.analysis.report` -- the
   kernel static checker (races, OOB, barrier divergence, uninitialized
   reads, dead stores) and the ``repro analyze`` report front-end.
@@ -39,13 +35,6 @@ from repro.analysis.report import (
     render_json,
     render_text,
 )
-from repro.analysis.symbolic import (
-    SynthesisCoverage,
-    TraceSynthesizer,
-    synthesis_coverage,
-    synthesize_block_trace,
-)
-
 __all__ = [
     "LOOP",
     "TOP",
@@ -57,8 +46,6 @@ __all__ = [
     "Diagnostic",
     "KernelAffineSummary",
     "ProofResult",
-    "SynthesisCoverage",
-    "TraceSynthesizer",
     "affine_summary",
     "analysis_case",
     "analyze_kernels",
@@ -66,7 +53,5 @@ __all__ = [
     "prove_block_class",
     "render_json",
     "render_text",
-    "synthesis_coverage",
-    "synthesize_block_trace",
     "trace_block_class",
 ]

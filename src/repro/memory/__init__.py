@@ -3,24 +3,20 @@
 from repro.memory.banks import (
     DEFAULT_BANKS,
     BankConfig,
-    affine_conflict_degree,
     conflict_degree,
     conflict_degree_batch,
     halfwarp_transactions,
     stride_conflict_degree,
     warp_transactions,
-    warp_transactions_affine,
     warp_transactions_batch,
 )
 from repro.memory.coalescing import (
     DEFAULT_CONFIG,
     Transaction,
     TransactionConfig,
-    affine_transactions,
     bytes_transferred,
     coalesce_halfwarp,
     coalesce_warp,
-    coalesce_warp_affine,
     coalesce_warp_batch,
     coalesce_warp_multi,
     transaction_count,
@@ -40,12 +36,9 @@ __all__ = [
     "DEFAULT_CONFIG",
     "Transaction",
     "TransactionConfig",
-    "affine_conflict_degree",
-    "affine_transactions",
     "bytes_transferred",
     "coalesce_halfwarp",
     "coalesce_warp",
-    "coalesce_warp_affine",
     "coalesce_warp_batch",
     "coalesce_warp_multi",
     "conflict_degree",
@@ -60,6 +53,5 @@ __all__ = [
     "stride_conflict_degree",
     "transaction_count",
     "warp_transactions",
-    "warp_transactions_affine",
     "warp_transactions_batch",
 ]

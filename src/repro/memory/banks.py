@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-from math import gcd
 
 import numpy as np
 
@@ -190,71 +189,3 @@ def stride_conflict_degree(
         return 0
     addresses = [i * stride_words * config.bank_width for i in range(threads)]
     return conflict_degree(addresses, config)
-
-
-# ----------------------------------------------------------------------
-# closed-form counting for affine lane patterns (symbolic synthesis)
-# ----------------------------------------------------------------------
-def affine_conflict_degree(
-    start: int, stride: int, count: int, config: BankConfig = DEFAULT_BANKS
-) -> int:
-    """Conflict degree of an affine half-warp access, closed form.
-
-    The ``count`` active lanes request byte address ``start + stride*i``
-    for ``i in [0, count)``, with ``stride`` a whole number of bank
-    words so the requested *words* form an arithmetic progression with
-    word stride ``k``.  ``k == 0`` is the broadcast path (one
-    transaction).  Otherwise every lane's word is distinct and the lanes
-    visit ``num_banks / gcd(k, num_banks)`` banks cyclically, so the
-    most-contended bank serves ``ceil(count * gcd / num_banks)``
-    distinct words -- which is the serialization factor
-    :func:`conflict_degree` derives by materializing the pattern.
-    """
-    if count <= 0:
-        return 0
-    if stride % config.bank_width:
-        raise ModelError(
-            "affine_conflict_degree requires a whole-word stride"
-        )
-    word_stride = abs(stride) // config.bank_width
-    if word_stride == 0:
-        return 1
-    period = config.num_banks // gcd(word_stride, config.num_banks)
-    return -(-count // period)
-
-
-def warp_transactions_affine(
-    addresses: "Sequence[int] | np.ndarray",
-    active: "Sequence[bool] | np.ndarray | None" = None,
-    config: BankConfig = DEFAULT_BANKS,
-) -> tuple[int, int]:
-    """(actual, conflict-free) warp counts, closed form where lanes allow.
-
-    Each half-warp whose active addresses form a whole-word arithmetic
-    progression is scored through :func:`affine_conflict_degree`; any
-    other half-warp falls back to the exact :func:`conflict_degree`
-    scan, so the result always equals :func:`warp_transactions`.
-    """
-    n = len(addresses)
-    if active is None:
-        active = [True] * n
-    actual = 0
-    ideal = 0
-    for begin in range(0, n, config.halfwarp):
-        group = [
-            int(addresses[i])
-            for i in range(begin, min(begin + config.halfwarp, n))
-            if active[i]
-        ]
-        if not group:
-            continue
-        ideal += 1
-        stride = group[1] - group[0] if len(group) > 1 else 0
-        affine = all(
-            group[i + 1] - group[i] == stride for i in range(len(group) - 1)
-        )
-        if affine and stride % config.bank_width == 0:
-            actual += affine_conflict_degree(group[0], stride, len(group), config)
-        else:
-            actual += conflict_degree(group, config)
-    return actual, ideal

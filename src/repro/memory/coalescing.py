@@ -472,118 +472,3 @@ def coalesce_warp_multi(
 def bytes_transferred(transactions: Iterable[Transaction]) -> int:
     """Total bytes moved by a list of transactions."""
     return sum(t.size for t in transactions)
-
-
-# ----------------------------------------------------------------------
-# closed-form counting for affine lane patterns (symbolic synthesis)
-# ----------------------------------------------------------------------
-def affine_transactions(
-    start: int,
-    stride: int,
-    count: int,
-    access_bytes: int = 4,
-    config: TransactionConfig = DEFAULT_CONFIG,
-) -> tuple[int, int]:
-    """(transactions, bytes) for an affine half-warp access, closed form.
-
-    The ``count`` active lanes request ``start + stride*i`` for
-    ``i in [0, count)``.  The greedy protocol's partition is "group by
-    aligned ``start_size`` window" and each window's segment is the
-    smallest aligned power-of-two cover of its span, floored at
-    ``min_segment`` (see :func:`coalesce_warp_multi`); for an arithmetic
-    progression both are computable per *window* -- at most one step per
-    emitted transaction, never one per lane -- with the dyadic
-    ``2**bitlen(lo ^ (hi-1))`` cover.  Bit-identical to
-    :func:`coalesce_halfwarp` on the same addresses, which the tests
-    enforce against the vectorized batch protocol.
-
-    Requires width-aligned addresses (``start`` and ``stride`` multiples
-    of ``access_bytes``) -- the same precondition under which the batch
-    protocol vectorizes; unaligned patterns must take the exact scalar
-    path instead.
-    """
-    if access_bytes <= 0:
-        raise ModelError("access_bytes must be positive")
-    if count <= 0:
-        return 0, 0
-    if stride < 0:
-        # The protocol depends only on the address multiset.
-        start, stride = start + stride * (count - 1), -stride
-    window_size = _start_size(access_bytes, config)
-    if (
-        window_size % access_bytes
-        or start % access_bytes
-        or stride % access_bytes
-    ):
-        raise ModelError(
-            "affine_transactions requires width-aligned affine addresses"
-        )
-    floor = max(config.min_segment, access_bytes)
-    if stride == 0:
-        spread = start ^ (start + access_bytes - 1)
-        return 1, max(1 << spread.bit_length(), floor)
-    transactions = 0
-    nbytes = 0
-    index = 0
-    while index < count:
-        lo = start + stride * index
-        window = lo // window_size
-        # Last lane whose (aligned) access still starts in this window.
-        last = min(
-            count - 1,
-            ((window + 1) * window_size - access_bytes - start) // stride,
-        )
-        hi = start + stride * last + access_bytes
-        spread = lo ^ (hi - 1)
-        transactions += 1
-        nbytes += max(1 << spread.bit_length(), floor)
-        index = last + 1
-    return transactions, nbytes
-
-
-def coalesce_warp_affine(
-    addresses: "Sequence[int] | np.ndarray",
-    active: "Sequence[bool] | np.ndarray | None" = None,
-    access_bytes: int = 4,
-    config: TransactionConfig = DEFAULT_CONFIG,
-) -> tuple[int, int]:
-    """(transactions, bytes) for a warp, closed form where lanes allow.
-
-    Each half-warp whose active addresses form a width-aligned
-    arithmetic progression is counted through
-    :func:`affine_transactions`; any other half-warp falls back to the
-    exact greedy protocol, so the result always equals
-    ``coalesce_warp`` -- the closed form is an *accelerator*, never an
-    approximation.
-    """
-    n = len(addresses)
-    if active is None:
-        active = [True] * n
-    transactions = 0
-    nbytes = 0
-    for begin in range(0, n, config.halfwarp):
-        group = [
-            int(addresses[i])
-            for i in range(begin, min(begin + config.halfwarp, n))
-            if active[i]
-        ]
-        if not group:
-            continue
-        stride = group[1] - group[0] if len(group) > 1 else 0
-        affine = all(
-            group[i + 1] - group[i] == stride for i in range(len(group) - 1)
-        )
-        if (
-            affine
-            and group[0] % access_bytes == 0
-            and stride % access_bytes == 0
-        ):
-            count, total = affine_transactions(
-                group[0], stride, len(group), access_bytes, config
-            )
-        else:
-            issued = coalesce_halfwarp(group, access_bytes, config)
-            count, total = len(issued), sum(t.size for t in issued)
-        transactions += count
-        nbytes += total
-    return transactions, nbytes

@@ -97,9 +97,12 @@ class PerformanceModel:
         granularity: int | None = None,
     ) -> PerformanceReport:
         """Full pipeline: extract inputs, then analyze them."""
-        report = self.analyze_inputs(
-            self.extract(trace, launch, resources, granularity)
-        )
+        from repro import obs
+
+        with obs.span("model.analyze"):
+            report = self.analyze_inputs(
+                self.extract(trace, launch, resources, granularity)
+            )
         engine_stats = getattr(trace, "engine_stats", None)
         if engine_stats is not None:
             report = dataclasses.replace(report, engine_stats=engine_stats)

@@ -6,17 +6,19 @@ Three pillars, all zero-dependency and disabled by default:
   ``span("engine.run", kernel=...)`` context managers with
   deterministic ``lane:seq`` IDs and monotonic timestamps, threaded
   through the engine's dedup ladder, the functional simulator's slab
-  batching, the process pools (worker-side spans ship home with the
-  results), the timing layer, calibration, and crossval.
+  batching, the analytical model (``model.analyze``), the process pools
+  (worker-side spans ship home with the results), the timing layer,
+  calibration, and crossval.
 * **Metrics** (:mod:`repro.obs.metrics`): a process-wide counter/gauge/
-  histogram registry (cache hits per cache, classes proved/synthesized/
-  interpreted, pool retries/timeouts, slab widths, events simulated)
+  histogram registry (cache hits per cache, classes proved/interpreted,
+  pool retries/timeouts, slab widths, events simulated)
   that absorbs the scattered ``EngineStats``/``HealthRecord`` counters
   without changing those dataclasses' APIs.
 * **Export** (:mod:`repro.obs.export` / :mod:`repro.obs.report`):
   ``events.jsonl``, Perfetto-loadable ``trace.json``, a metrics
-  snapshot, and a provenance ``manifest.json``, summarized by
-  ``repro obs report``.
+  snapshot, and a provenance ``manifest.json`` (with the recorded
+  ``wall_ms``), summarized by ``repro obs report`` -- top spans plus an
+  ``unattributed`` row for time outside every root span.
 
 Activation: ``repro --obs DIR <subcommand>`` or ``$REPRO_OBS``; or
 programmatically::

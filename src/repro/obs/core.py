@@ -47,6 +47,8 @@ class Recorder:
 
     def __init__(self, lane: str = "main") -> None:
         self.lane = lane
+        #: Monotonic start stamp; the manifest's ``wall_ms`` runs from it.
+        self.started_ns = time.perf_counter_ns()
         self.events: list[dict] = []
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}

@@ -12,7 +12,9 @@ four files next to each other in the output directory:
 * ``metrics.json`` -- the counter/gauge/histogram registry snapshot;
 * ``manifest.json`` -- run provenance: command line, spec fingerprints
   and cache versions, tuning provenance, git describe, the active fault
-  plan, interpreter/platform, wall-clock timestamps.
+  plan, interpreter/platform, wall-clock timestamps, and ``wall_ms``
+  (recorder start to export, the denominator of the report's
+  ``unattributed`` row).
 
 Every manifest section is assembled fail-open (a missing git binary or
 an unreadable tuning profile yields ``null``, never a crashed run), and
@@ -230,6 +232,9 @@ def build_manifest(
         "argv": list(argv) if argv is not None else None,
         "exit_status": exit_status,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "wall_ms": round(
+            (time.perf_counter_ns() - recorder.started_ns) / 1e6, 3
+        ),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "machine": _machine(),

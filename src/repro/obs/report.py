@@ -6,7 +6,9 @@ in tests.  The summary answers the triage questions the ISSUE lists:
 
 * **Where did the wall-clock go?**  Top spans by *self* time (span
   duration minus the duration of its direct children), aggregated by
-  span name across the whole run, worker lanes included.
+  span name across the whole run, worker lanes included, plus an
+  ``unattributed`` row: the manifest's ``wall_ms`` minus the summed
+  duration of the root spans on lane ``main``.
 * **Which caches hit?**  Hit rates derived from the
   ``cache.<kind>.hits``/``cache.<kind>.misses`` counter pairs.
 * **What degraded?**  Every nonzero ``*.health.*`` counter plus every
@@ -90,6 +92,26 @@ def span_summary(events: list[dict]) -> list[dict]:
     return ordered
 
 
+def unattributed_ms(events: list[dict], manifest: dict) -> float | None:
+    """Recorded wall-clock outside every root span on lane ``main``.
+
+    ``None`` when the manifest predates ``wall_ms``.  Root spans on one
+    lane never overlap (they nest through one stack), so their sum is
+    the attributed time.
+    """
+    wall = manifest.get("wall_ms")
+    if not isinstance(wall, (int, float)):
+        return None
+    rooted = sum(
+        max(e["t1"] - e["t0"], 0)
+        for e in events
+        if e.get("type") == "span"
+        and e.get("lane", "main") == "main"
+        and not e.get("parent")
+    )
+    return round(max(wall - rooted / 1e6, 0.0), 3)
+
+
 def cache_summary(metrics: dict) -> dict:
     """Hit rates per cache kind from the counter registry."""
     counters = metrics.get("counters", {}) if isinstance(metrics, dict) else {}
@@ -148,6 +170,7 @@ def build_report(
             "lanes": len({e.get("lane", "main") for e in events}),
         },
         "top_spans": spans[:top_spans],
+        "unattributed_ms": unattributed_ms(events, manifest),
         "caches": cache_summary(metrics),
         "degradations": degradation_summary(events, metrics),
         "counters": metrics.get("counters", {}),
@@ -171,7 +194,8 @@ def render_text(report: dict) -> str:
         f"({totals['spans']} spans, {totals['logs']} logs, "
         f"{totals['lanes']} lanes)"
     )
-    if report["top_spans"]:
+    unattributed = report["unattributed_ms"]
+    if report["top_spans"] or unattributed is not None:
         lines.append("top spans by self-time:")
         for entry in report["top_spans"]:
             lines.append(
@@ -179,6 +203,11 @@ def render_text(report: dict) -> str:
                 f"self {entry['self_ms']:>10.3f} ms  "
                 f"total {entry['total_ms']:>10.3f} ms"
                 + (f"  ({entry['errors']} errors)" if entry["errors"] else "")
+            )
+        if unattributed is not None:
+            lines.append(
+                f"  {'unattributed':<28} {'':<6} "
+                f"self {unattributed:>10.3f} ms"
             )
     if report["caches"]:
         lines.append("cache hit rates:")
@@ -214,7 +243,8 @@ def render_markdown(report: dict) -> str:
         f"{totals['logs']} logs) across {totals['lanes']} lane(s)."
     )
     lines.append("")
-    if report["top_spans"]:
+    unattributed = report["unattributed_ms"]
+    if report["top_spans"] or unattributed is not None:
         lines.append("## Top spans by self-time")
         lines.append("")
         lines.append("| span | count | self (ms) | total (ms) |")
@@ -224,6 +254,8 @@ def render_markdown(report: dict) -> str:
                 f"| {entry['name']} | {entry['count']} | "
                 f"{entry['self_ms']:.3f} | {entry['total_ms']:.3f} |"
             )
+        if unattributed is not None:
+            lines.append(f"| unattributed | | {unattributed:.3f} | |")
         lines.append("")
     if report["caches"]:
         lines.append("## Cache hit rates")

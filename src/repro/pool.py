@@ -123,9 +123,9 @@ class HealthRecord:
     """Frozen degradation summary attached to engine/timing results.
 
     All-zero (the default) means a fully healthy run.  The analysis
-    fallbacks (``proof_fallbacks``/``symbolic_fallbacks``) are expected
-    behaviour for data-dependent kernels and do *not* count as
-    degradation; everything else records a survived fault.
+    fallback (``proof_fallbacks``) is expected behaviour for
+    data-dependent kernels and does *not* count as degradation;
+    everything else records a survived fault.
     """
 
     pool_retries: int = 0
@@ -144,9 +144,6 @@ class HealthRecord:
     shm_fallbacks: int = 0
     #: Multi-member dedup classes the static proof refused (probed).
     proof_fallbacks: int = 0
-    #: Dedup classes interpreted because symbolic synthesis was not
-    #: covered (e.g. data-dependent kernels).
-    symbolic_fallbacks: int = 0
 
     @property
     def degraded(self) -> bool:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import os
-import pickle
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -79,7 +78,7 @@ from repro.sim.trace import (
 #: (``dedup_verify`` joined the key) and class members are canonically
 #: sorted, so stats like ``simulated_blocks`` changed for proved grids.
 #: v6: covered dedup classes synthesize their representative trace in
-#: closed form instead of interpreting it (``trace_mode`` joined the
+#: closed form instead of interpreting it (the trace mode joined the
 #: key), so ``simulated_blocks``/``synthesized_classes`` changed for
 #: affine grids; the slab width resolves per launch from the launch's
 #: warps-per-block.
@@ -88,7 +87,10 @@ from repro.sim.trace import (
 #: v8: coalescing takes its max-segment ceiling from the spec instead
 #: of a hardcoded 128 B, so traces of specs with other ceilings
 #: (registered architecture generations) changed.
-ENGINE_CACHE_VERSION = 8
+#: v9: symbolic trace synthesis is gone (the trace mode left the key),
+#: so every class's representative is interpreted and cached stats of
+#: affine grids count it in ``simulated_blocks``.
+ENGINE_CACHE_VERSION = 9
 
 #: Taint bits.
 TAINT_BLOCK = 1  # value depends on the block coordinates (ctaid)
@@ -364,11 +366,12 @@ class EngineStats:
     #: Multi-member classes whose equivalence the static proof
     #: certified, skipping their verifier probes entirely.
     proved_classes: int = 0
-    #: Dedup classes whose representative trace was synthesized in
-    #: closed form (no interpreter pass) vs interpreted.  Their sum is
-    #: ``block_classes``; ``synthesized_classes == 0`` is the fallback
-    #: signal for data-dependent kernels under ``trace_mode="symbolic"``.
+    #: Always 0: every dedup class's representative is interpreted.
+    #: Kept because benchmark tooling reads ``synthesized_classes``
+    #: from the CLI's ``--json`` engine payload.
     synthesized_classes: int = 0
+    #: Dedup classes whose representative trace was interpreted (all
+    #: of ``block_classes``).
     interpreted_classes: int = 0
     #: Degradation record for this run: pool retries/timeouts/serial
     #: fallbacks, cache quarantines, shm fallbacks, analysis fallbacks.
@@ -382,13 +385,8 @@ class EngineStats:
                 f"{self.replicated_blocks} replicated, "
                 f"{self.block_classes} classes"
             )
-            qualifiers = []
             if self.proved_classes:
-                qualifiers.append(f"{self.proved_classes} proved")
-            if self.synthesized_classes:
-                qualifiers.append(f"{self.synthesized_classes} synthesized")
-            if qualifiers:
-                detail += f" ({', '.join(qualifiers)})"
+                detail += f" ({self.proved_classes} proved)"
             detail += ", dedup"
         elif self.mode == "sample":
             detail = "representative sample, scaled"
@@ -602,18 +600,6 @@ class SimulationEngine:
         probes and raises :class:`~repro.errors.AnalysisError` if a
         proved class's probes disagree -- a prover-or-simulator bug
         that must never be silently demoted.
-    trace_mode:
-        Where a dedup class's representative trace comes from.
-        ``"symbolic"`` (default) synthesizes it in closed form
-        (:mod:`repro.analysis.symbolic`) whenever the coverage gate and
-        the dedup proof cover the class, falling back to the batched
-        interpreter otherwise (data-dependent kernels like SpMV always
-        fall back; ``EngineStats.synthesized_classes`` reports the
-        split).  ``"interpret"`` is the interpreter-only status quo.
-        ``"both"`` synthesizes *and* interprets every covered class and
-        raises :class:`~repro.errors.AnalysisError` unless the two
-        traces are pickle-byte-identical -- the differential audit
-        mirroring ``dedup_verify="both"``.
     task_timeout:
         Per-task watchdog budget (seconds) for pooled simulation tasks;
         a hung worker is killed after this long and its task re-executed
@@ -637,7 +623,6 @@ class SimulationEngine:
         batched: bool = True,
         grid_batch_blocks: int | None = None,
         dedup_verify: str = "proof",
-        trace_mode: str = "symbolic",
         task_timeout: float | None = None,
         faults=None,
     ) -> None:
@@ -646,16 +631,10 @@ class SimulationEngine:
                 f"dedup_verify must be 'proof', 'probe', or 'both', "
                 f"not {dedup_verify!r}"
             )
-        if trace_mode not in ("symbolic", "interpret", "both"):
-            raise ReproError(
-                f"trace_mode must be 'symbolic', 'interpret', or 'both', "
-                f"not {trace_mode!r}"
-            )
         self.kernel = kernel
         self.gmem = gmem if gmem is not None else GlobalMemory()
         self.spec = spec
         self.dedup_verify = dedup_verify
-        self.trace_mode = trace_mode
         self.workers = max(0, int(workers))
         self.max_warp_instructions = max_warp_instructions
         self.batched = batched
@@ -677,7 +656,6 @@ class SimulationEngine:
         self._pool_health = PoolHealth()
         self._shm_fallbacks = 0
         self._proof_fallbacks = 0
-        self._symbolic_fallbacks = 0
 
     # ------------------------------------------------------------------
     def run(
@@ -733,9 +711,6 @@ class SimulationEngine:
         metrics.inc("engine.blocks.replicated", stats.replicated_blocks)
         metrics.inc("engine.classes.proved", stats.proved_classes)
         metrics.inc(
-            "engine.classes.synthesized", stats.synthesized_classes
-        )
-        metrics.inc(
             "engine.classes.interpreted", stats.interpreted_classes
         )
         metrics.inc("engine.probe_fallbacks", stats.probe_fallbacks)
@@ -752,7 +727,6 @@ class SimulationEngine:
         self._pool_health = PoolHealth()
         self._shm_fallbacks = 0
         self._proof_fallbacks = 0
-        self._symbolic_fallbacks = 0
         cache_quarantines = self.cache.quarantines if self.cache else 0
         cache_write_errors = self.cache.write_errors if self.cache else 0
         if blocks is not None:
@@ -807,7 +781,6 @@ class SimulationEngine:
                 ),
                 shm_fallbacks=self._shm_fallbacks,
                 proof_fallbacks=self._proof_fallbacks,
-                symbolic_fallbacks=self._symbolic_fallbacks,
             ),
         )
         return trace
@@ -822,7 +795,6 @@ class SimulationEngine:
         mode: str,
         started: float,
         proved: int = 0,
-        synthesized: int = 0,
     ) -> EngineStats:
         total = launch.num_blocks
         dedup = mode == "dedup"
@@ -839,8 +811,7 @@ class SimulationEngine:
             wall_seconds=time.perf_counter() - started,
             mode=mode,
             proved_classes=proved,
-            synthesized_classes=synthesized if dedup else 0,
-            interpreted_classes=max(classes - synthesized, 0) if dedup else 0,
+            interpreted_classes=classes if dedup else 0,
         )
 
     def _run_sample(
@@ -897,75 +868,19 @@ class SimulationEngine:
             if cls.verifiers and index not in proved
         )
 
-        # Phase 0.5: symbolic synthesis.  A class whose equivalence is
-        # settled without probes (singleton, or certified by the proof)
-        # and whose kernel passes the coverage gate gets its
-        # representative trace synthesized in closed form -- no
-        # interpreter pass, no memory contents.  Unproved multi-member
-        # classes keep interpreting: their probe verification needs the
-        # real traces anyway.
-        synthesized: dict[int, BlockTrace] = {}
-        if self.trace_mode in ("symbolic", "both"):
-            # Lazy for the same reason as the proof import above.
-            from repro.analysis.symbolic import (
-                TraceSynthesizer,
-                synthesis_coverage,
-            )
-
-            with obs.span("engine.synthesis", classes=len(classes)):
-                if synthesis_coverage(
-                    self.kernel, launch, dependence=self.dependence
-                ):
-                    synthesizer = TraceSynthesizer(
-                        self.kernel,
-                        self.gmem,
-                        spec=self.spec,
-                        max_warp_instructions=self.max_warp_instructions,
-                    )
-                    for index, cls in enumerate(classes):
-                        if cls.verifiers and index not in proved:
-                            continue
-                        synthesized[index] = synthesizer.synthesize(
-                            launch, cls.representative
-                        )
-            self._symbolic_fallbacks = len(classes) - len(synthesized)
-
         # Phase 1: representatives plus the verification members of
         # every unproved multi-member class, all simulated in one
-        # (possibly parallel) batch.  A synthesized representative is
-        # interpreted only when something still needs its real trace:
-        # the "both" differential audit, or a pending probe comparison.
+        # (possibly parallel) batch.
         probe_blocks: list[tuple[int, int]] = []
         for index, cls in enumerate(classes):
-            audit = cls.verifiers and (
+            probe_blocks.append(cls.representative)
+            if cls.verifiers and (
                 index not in proved or self.dedup_verify == "both"
-            )
-            if index not in synthesized or self.trace_mode == "both" or audit:
-                probe_blocks.append(cls.representative)
-            if audit:
+            ):
                 probe_blocks.extend(cls.verifiers)
         probe_traces = dict(
             zip(probe_blocks, self._simulate(launch, probe_blocks))
         )
-
-        # Synthesized traces must be byte-identical to interpreted ones
-        # -- not merely equal -- because traces are pickled into the
-        # cache and compared by stats_key.  Under "both" every covered
-        # class is checked on every run.
-        if self.trace_mode == "both":
-            for index, synthetic in synthesized.items():
-                rep = classes[index].representative
-                expected = pickle.dumps(
-                    probe_traces[rep], pickle.HIGHEST_PROTOCOL
-                )
-                actual = pickle.dumps(synthetic, pickle.HIGHEST_PROTOCOL)
-                if actual != expected:
-                    raise AnalysisError(
-                        f"symbolic synthesis of kernel "
-                        f"{self.kernel.name!r} block {rep} diverges from "
-                        "the interpreter (pickled traces differ); "
-                        "synthesizer or interpreter bug"
-                    )
 
         # Phase 2: verify; classes with any disagreeing probe are
         # demoted and every member is simulated individually.  A
@@ -1017,12 +932,8 @@ class SimulationEngine:
             for index, cls in enumerate(classes):
                 if index not in demoted:
                     # Verifier traces equal the representative's, so
-                    # one entry with the full multiplicity is exact.  A
-                    # synthesized trace is byte-identical to the
-                    # interpreted one, so either serves.
-                    rep_trace = synthesized.get(index)
-                    if rep_trace is None:
-                        rep_trace = simulated_traces[cls.representative]
+                    # one entry with the full multiplicity is exact.
+                    rep_trace = simulated_traces[cls.representative]
                     entries.append((rep_trace, len(cls.members)))
                     for member in cls.members:
                         trace_for[member] = rep_trace
@@ -1051,7 +962,6 @@ class SimulationEngine:
             "dedup",
             started,
             proved=len(proved),
-            synthesized=len(synthesized),
         )
         return trace, stats
 
@@ -1206,10 +1116,6 @@ class SimulationEngine:
         # Proof-skipped probes change EngineStats (simulated_blocks,
         # proved_classes), which ride inside the cached trace.
         h.update(f"verify={self.dedup_verify}".encode())
-        # Synthesis changes EngineStats the same way (simulated_blocks,
-        # synthesized_classes), even though the traces themselves are
-        # byte-identical across modes.
-        h.update(f"trace={self.trace_mode}".encode())
         # The runaway-instruction guard must still fire on warm caches.
         h.update(f"limit={self.simulator.max_warp_instructions}".encode())
         # Pooled workers see pickled gmem copies, so cross-block write

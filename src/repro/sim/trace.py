@@ -222,26 +222,6 @@ def intern_stage_strings(trace: "BlockTrace") -> "BlockTrace":
     return trace
 
 
-def _plain_event(event: Event) -> Event:
-    """One event with every field coerced to the interpreter's types.
-
-    Streams carry ``(kind, dep, a, b, payload)`` with plain ints and, on
-    global events of a ``record_segments`` launch, a
-    ``(cacheable, ((address, size), ...))`` payload.  Pickle observes
-    the difference between ``2`` and ``np.int64(2)``, so synthesized
-    streams are normalized through this before they can stand in for
-    interpreted ones.
-    """
-    kind, dep, a, b, payload = event
-    if payload is not None:
-        cacheable, segments = payload
-        payload = (
-            bool(cacheable),
-            tuple((int(lo), int(size)) for lo, size in segments),
-        )
-    return (int(kind), int(dep), int(a), int(b), payload)
-
-
 @dataclass
 class BlockTrace:
     """Everything recorded while simulating one block.
@@ -284,44 +264,6 @@ class BlockTrace:
         for stage in self.stages:
             total.merge(stage)
         return total
-
-    @classmethod
-    def from_synthesis(
-        cls,
-        block: tuple[int, int],
-        stages: list[StageStats],
-        warp_streams: list[list[Event]],
-        global_load_ranges: tuple[tuple[int, int], ...] = (),
-        global_store_ranges: tuple[tuple[int, int], ...] = (),
-    ) -> "BlockTrace":
-        """Build a finalized trace from synthesized components.
-
-        The symbolic synthesizer (:mod:`repro.analysis.symbolic`)
-        assembles its per-stage statistics and warp streams from
-        closed-form counting rules, which may leave NumPy scalars or
-        insertion-ordered mappings behind.  This constructor is the
-        byte-identity chokepoint: stages are canonicalized and every
-        event field is coerced to the plain Python types the
-        interpreters emit, so a synthesized trace pickles to exactly
-        the bytes an interpreted one does (the ``trace_mode="both"``
-        divergence check and the engine's stream digests rely on it).
-        """
-        for stage in stages:
-            stage.canonicalize_order()
-        return cls(
-            block=(int(block[0]), int(block[1])),
-            stages=list(stages),
-            warp_streams=[
-                [_plain_event(event) for event in stream]
-                for stream in warp_streams
-            ],
-            global_load_ranges=tuple(
-                (int(lo), int(hi)) for lo, hi in global_load_ranges
-            ),
-            global_store_ranges=tuple(
-                (int(lo), int(hi)) for lo, hi in global_store_ranges
-            ),
-        )
 
     def __getstate__(self):
         # The memos are cheap to rebuild and would otherwise serialize a

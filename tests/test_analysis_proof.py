@@ -43,12 +43,7 @@ class TestProofCoverage:
     @pytest.mark.parametrize("name", AFFINE_KERNELS)
     def test_engine_skips_all_probes(self, name):
         case = analysis_case(name)
-        # trace_mode="interpret" isolates the proof's probe skipping
-        # from trace synthesis (which drops simulated_blocks to zero;
-        # see test_sim_symbolic.py).
-        engine = SimulationEngine(
-            case.kernel, gmem=case.gmem, trace_mode="interpret"
-        )
+        engine = SimulationEngine(case.kernel, gmem=case.gmem)
         trace = engine.run(case.launch)
         stats = trace.engine_stats
         # Every multi-member class proved: exactly one simulation per

@@ -449,7 +449,6 @@ class TestMatmulFailureMatrix:
             gmem=problem.gmem,
             workers=workers,
             faults=plan,
-            trace_mode="interpret",  # probe blocks instead of synthesis
         )
         engine.simulator.grid_batch_blocks = 1
         # dedup=False: the affine grid collapses to one class otherwise,
@@ -538,9 +537,9 @@ class TestHealthTelemetry:
         assert record.degraded
 
     def test_analysis_fallbacks_are_not_degradation(self):
-        record = HealthRecord(proof_fallbacks=3, symbolic_fallbacks=5)
+        record = HealthRecord(proof_fallbacks=3)
         assert not record.degraded
-        assert "symbolic_fallbacks=5" in record.summary()
+        assert "proof_fallbacks=3" in record.summary()
 
     def test_report_renders_degraded_line(
         self, model, spmv_lattice, spmv_kernel

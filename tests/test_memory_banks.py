@@ -128,56 +128,3 @@ class TestProperties:
         active = [True] * len(addrs) + [False] * (32 - len(addrs))
         actual, ideal = warp_transactions(padded, active)
         assert actual >= ideal
-
-
-class TestAffineClosedForm:
-    """The closed-form counters must equal the exact protocol."""
-
-    @given(
-        st.integers(0, 64).map(lambda w: w * 4),
-        st.integers(-16, 16).map(lambda w: w * 4),
-        st.integers(1, 16),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_degree_matches_materialized_progression(
-        self, start, stride, count
-    ):
-        from repro.memory import affine_conflict_degree
-
-        addrs = [start + stride * i for i in range(count)]
-        # Keep addresses non-negative for the materialized reference.
-        if min(addrs) < 0:
-            shift = -min(addrs)
-            addrs = [a + shift for a in addrs]
-            start += shift
-        assert affine_conflict_degree(start, stride, count) == conflict_degree(
-            addrs
-        )
-
-    def test_non_word_stride_rejected(self):
-        from repro.memory import affine_conflict_degree
-
-        with pytest.raises(ModelError, match="whole-word"):
-            affine_conflict_degree(0, 6, 8)
-
-    @given(addresses)
-    @settings(max_examples=200, deadline=None)
-    def test_warp_counts_match_exact_protocol(self, addrs):
-        from repro.memory import warp_transactions_affine
-
-        padded = addrs + [0] * (32 - len(addrs))
-        active = [True] * len(addrs) + [False] * (32 - len(addrs))
-        assert warp_transactions_affine(padded, active) == warp_transactions(
-            padded, active
-        )
-
-    @given(st.integers(0, 33), st.integers(1, 32))
-    @settings(max_examples=200, deadline=None)
-    def test_strided_warp_matches_exact_protocol(self, stride_words, count):
-        from repro.memory import warp_transactions_affine
-
-        addrs = [i * stride_words * 4 for i in range(32)]
-        active = [i < count for i in range(32)]
-        assert warp_transactions_affine(addrs, active) == warp_transactions(
-            addrs, active
-        )

@@ -9,7 +9,6 @@ from repro.memory import (
     TransactionConfig,
     bytes_transferred,
     coalesce_halfwarp,
-    coalesce_warp,
     transaction_count,
 )
 
@@ -165,59 +164,3 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     def test_transaction_count_at_most_active_threads(self, addrs):
         assert len(coalesce_halfwarp(addrs)) <= len(addrs)
-
-
-class TestAffineClosedForm:
-    """The closed-form counters must equal the greedy protocol."""
-
-    @given(
-        st.integers(0, 256).map(lambda w: w * 4),
-        st.integers(-32, 32).map(lambda w: w * 4),
-        st.integers(1, 16),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_materialized_progression(self, start, stride, count):
-        from repro.memory import affine_transactions
-
-        addrs = [start + stride * i for i in range(count)]
-        if min(addrs) < 0:
-            shift = -min(addrs)
-            addrs = [a + shift for a in addrs]
-            start += shift
-        txns = coalesce_halfwarp(sorted(addrs))
-        assert affine_transactions(start, stride, count) == (
-            len(txns),
-            bytes_transferred(txns),
-        )
-
-    def test_misaligned_progression_rejected(self):
-        from repro.memory import affine_transactions
-
-        with pytest.raises(ModelError, match="aligned"):
-            affine_transactions(2, 4, 8)
-
-    @given(word_addresses)
-    @settings(max_examples=200, deadline=None)
-    def test_warp_counts_match_exact_protocol(self, addrs):
-        from repro.memory import coalesce_warp_affine
-
-        padded = addrs + [0] * (32 - len(addrs))
-        active = [True] * len(addrs) + [False] * (32 - len(addrs))
-        txns = coalesce_warp(padded, active)
-        assert coalesce_warp_affine(padded, active) == (
-            len(txns),
-            bytes_transferred(txns),
-        )
-
-    @given(st.integers(0, 65), st.integers(1, 32))
-    @settings(max_examples=200, deadline=None)
-    def test_strided_warp_matches_exact_protocol(self, stride_words, count):
-        from repro.memory import coalesce_warp_affine
-
-        addrs = [i * stride_words * 4 for i in range(32)]
-        active = [i < count for i in range(32)]
-        txns = coalesce_warp(addrs, active)
-        assert coalesce_warp_affine(addrs, active) == (
-            len(txns),
-            bytes_transferred(txns),
-        )

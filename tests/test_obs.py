@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import time
 from dataclasses import replace
 
 import pytest
@@ -288,6 +289,24 @@ class TestByteIdentity:
         assert recorder.counters.get("engine.runs") == 1
         assert recorder.counters.get("hw.measures") == 1
 
+    def test_model_analyze_is_spanned(self, model):
+        from repro.apps.common import execute
+
+        problem = prepare_problem(64, 8)
+        recorder = obs.start()
+        try:
+            execute(
+                "matmul",
+                build_matmul_kernel(64, 8),
+                problem.gmem,
+                problem.launch(),
+                model=model,
+            )
+        finally:
+            obs.stop()
+        names = [e["name"] for e in recorder.events if e["type"] == "span"]
+        assert "model.analyze" in names
+
 
 # ----------------------------------------------------------------------
 # export + report round trip
@@ -404,6 +423,21 @@ class TestExportAndReport:
         }
         assert spans["outer"]["self_ms"] <= spans["outer"]["total_ms"]
         assert spans["inner"]["self_ms"] == spans["inner"]["total_ms"]
+
+    def test_unattributed_row_counts_time_outside_spans(self, tmp_path):
+        recorder = obs.start()
+        try:
+            with obs.span("work"):
+                pass
+            time.sleep(0.05)
+        finally:
+            obs.stop()
+        export.export_session(recorder, tmp_path)
+        built = report.build_report(tmp_path)
+        assert built["unattributed_ms"] >= 50
+        assert json.loads(json.dumps(built))["unattributed_ms"] >= 50
+        assert "  unattributed " in report.render_text(built)
+        assert "| unattributed | |" in report.render_markdown(built)
 
     def test_report_on_empty_directory_raises(self, tmp_path):
         with pytest.raises(report.ObsReportError):

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.analysis.report import BUILTIN_KERNELS, analysis_case
 from repro.apps.matmul import build_matmul_kernel
 from repro.apps.matmul import prepare_problem as prepare_matmul
 from repro.apps.matrices import random_blocked
@@ -178,12 +179,12 @@ class TestDifferentialEquivalence:
         )
         stats = fast.engine_stats
         assert stats.block_classes == 1
-        # The dedup proof certifies the class and trace synthesis
-        # covers the kernel: no interpreter pass at all.
+        # The dedup proof certifies the class: only its representative
+        # is interpreted, with no verifier probes.
         assert stats.proved_classes == 1
-        assert stats.synthesized_classes == 1
-        assert stats.simulated_blocks == 0
-        assert stats.replicated_blocks == launch.num_blocks
+        assert stats.interpreted_classes == 1
+        assert stats.simulated_blocks == 1
+        assert stats.replicated_blocks == launch.num_blocks - 1
 
     def test_tridiag_dedup_matches_serial(self, model):
         n, systems = 64, 6
@@ -193,8 +194,8 @@ class TestDifferentialEquivalence:
             kernel, lambda: prepare_cr(n, systems).gmem, launch, model
         )
         assert fast.engine_stats.proved_classes == 1
-        assert fast.engine_stats.synthesized_classes == 1
-        assert fast.engine_stats.simulated_blocks == 0
+        assert fast.engine_stats.interpreted_classes == 1
+        assert fast.engine_stats.simulated_blocks == 1
 
     @pytest.mark.parametrize("fmt", ("ell", "bell_im", "bell_imiv"))
     def test_spmv_parallel_matches_serial(self, model, fmt):
@@ -234,6 +235,21 @@ class TestDifferentialEquivalence:
         launch = LaunchConfig(grid=(4, 1), block_threads=32, params=params)
         with pytest.raises(LaunchError):
             SimulationEngine(kernel, gmem=gmem).run(launch, blocks=[])
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_KERNELS))
+    def test_matches_per_warp_oracle(self, name):
+        # The dedup representative's trace must pickle to the bytes the
+        # per-warp reference interpreter produces for the same block.
+        # Fresh cases per side: in-process engine runs write to gmem.
+        case = analysis_case(name)
+        trace = SimulationEngine(case.kernel, gmem=case.gmem).run(
+            case.launch
+        ).block_traces[0]
+        fresh = analysis_case(name)
+        oracle = FunctionalSimulator(
+            fresh.kernel, gmem=fresh.gmem, batched=False
+        ).run_block(fresh.launch, trace.block)
+        assert pickle.dumps(trace, 5) == pickle.dumps(oracle, 5)
 
 
 class TestProbeVerification:
