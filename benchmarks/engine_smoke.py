@@ -55,6 +55,13 @@ and across a two-worker pool.  Both tables must hash to the recorded
 ``CALIBRATION_SHA256``; the seconds and simulated events per second of
 each run are recorded so the trend reporter tracks the sweep.
 
+An eighth gate covers *prefix-shared cluster simulation*: the paper's
+Fig. 4 matmul (n=512, tile 32) leaves two cluster signature jobs,
+(5,4,4) and (4,4,4) blocks per SM, which share every block.  They are
+timed as one group and as independent simulations; the ClusterResults
+must be pickle-byte-identical and the group must take at most
+``PREFIX_MAX_RATIO`` of the independent time.
+
 ``--check`` additionally writes every gate's measurements (instr/sec,
 speedups, cycle counts) to a machine-readable JSON file (default
 ``BENCH_engine_smoke.json``, ``--json PATH`` to relocate) that CI
@@ -143,6 +150,13 @@ CALIBRATION_SHA256 = (
 
 #: Pool width of the calibration gate's parallel run.
 CALIBRATION_WORKERS = 2
+
+#: Prefix-gate workload: the paper's Fig. 4 matmul at tile 32.
+PREFIX_N, PREFIX_TILE = 512, 32
+
+#: Ceiling on grouped / independent time of the prefix gate's signature
+#: pair (measured about 0.55 on a 2-vCPU VM).
+PREFIX_MAX_RATIO = 0.8
 
 #: Watchdog budget for the chaos gate's hung task (generous against
 #: slow shared runners; the injected hang sleeps far longer).
@@ -530,6 +544,52 @@ def run_calibration() -> dict:
     return gate
 
 
+def run_prefix() -> dict:
+    """Prefix gate: the paper's matmul signature pair, grouped vs alone."""
+    from repro.apps.common import kernel_resources
+    from repro.arch.occupancy import compute_occupancy
+    from repro.hw import simulate_cluster, simulate_clusters
+
+    kernel = build_matmul_kernel(PREFIX_N, PREFIX_TILE)
+    problem = prepare_problem(PREFIX_N, PREFIX_TILE)
+    launch = problem.launch()
+    work = FunctionalSimulator(kernel, gmem=problem.gmem).run_block(
+        launch, (0, 0)
+    ).warp_streams
+    gpu = HardwareGpu()
+    spec = gpu.spec
+    resident = compute_occupancy(
+        spec, kernel_resources(kernel, launch)
+    ).blocks_per_sm
+    counts = gpu._block_counts(
+        launch.num_blocks, spec.memory.num_clusters, spec.sms_per_cluster
+    )
+    jobs = [
+        ([[work] * count for count in per_sm], resident)
+        for per_sm in sorted({tuple(c) for c in counts}, reverse=True)
+    ]
+
+    grouped_start = time.perf_counter()
+    grouped = simulate_clusters(jobs, spec, None, False)
+    grouped_seconds = time.perf_counter() - grouped_start
+    alone_start = time.perf_counter()
+    alone = [
+        simulate_cluster(spec, None, False, queues, resident)
+        for queues, resident in jobs
+    ]
+    alone_seconds = time.perf_counter() - alone_start
+    return {
+        "jobs": [[len(queue) for queue in queues] for queues, _ in jobs],
+        "resident": resident,
+        "events": sum(result.events for result in alone),
+        "alone_seconds": alone_seconds,
+        "grouped_seconds": grouped_seconds,
+        "ratio": grouped_seconds / alone_seconds,
+        "speedup": alone_seconds / grouped_seconds,
+        "identical": pickle.dumps(grouped) == pickle.dumps(alone),
+    }
+
+
 def check_chaos(chaos: dict) -> int:
     """Evaluate the chaos gate; print the verdicts, return exit code."""
     print(
@@ -612,6 +672,7 @@ def main(argv: list[str] | None = None) -> int:
     chaos = run_chaos()
     obs_gate = run_obs(args.obs)
     calibration = run_calibration()
+    prefix = run_prefix()
     if args.check:
         # Record the trajectory *before* evaluating any gate, so a
         # failing run still uploads the measurements that explain it.
@@ -625,6 +686,7 @@ def main(argv: list[str] | None = None) -> int:
                 "chaos": chaos,
                 "obs": obs_gate,
                 "calibration": calibration,
+                "prefix": prefix,
             },
         )
         print(f"perf trajectory written: {args.json}")
@@ -736,6 +798,22 @@ def main(argv: list[str] | None = None) -> int:
         print(
             "FAIL: calibration tables differ from the recorded sha256 "
             f"{CALIBRATION_SHA256[:12]}"
+        )
+        return 1
+
+    print(
+        f"prefix matmul {PREFIX_N} tile {PREFIX_TILE} signature jobs "
+        f"{prefix['jobs']}: independent {prefix['alone_seconds']:.2f} s, "
+        f"grouped {prefix['grouped_seconds']:.2f} s "
+        f"({prefix['ratio']:.2f}x the time)"
+    )
+    if not prefix["identical"]:
+        print("FAIL: grouped cluster results differ from independent runs")
+        return 1
+    if prefix["ratio"] > PREFIX_MAX_RATIO:
+        print(
+            f"FAIL: grouped/independent time {prefix['ratio']:.2f} "
+            f"> {PREFIX_MAX_RATIO}"
         )
         return 1
 

@@ -24,12 +24,23 @@ whose resource selector (SM, pipe, shared-operand collector) equals
 that of a check that failed at the same time, with no issue since,
 reads the same state; it is re-queued with that check's result without
 evaluating it again.
+
+Several jobs with the same ``resident_per_sm`` can run as one *group*
+(:meth:`ClusterSimulator.run_group`).  A simulation is a pure function
+of its queues (jitter is keyed by launch-order warp ids), so jobs whose
+SMs queue the same :data:`BlockWork` objects stay in identical states
+up to the first queue pop where they launch different blocks, or one
+launches a block and another none.  There the state is copied once per
+partition of the jobs by what they pop -- event streams are shared,
+never copied -- and each partition continues alone.  Every job gets
+exactly the result an independent run returns.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 from repro.arch.specs import GpuSpec, GTX285
 from repro.errors import HardwareModelError
@@ -66,12 +77,16 @@ def simulate_cluster(
     need a module-level function; keeping it here, next to
     :class:`ClusterSimulator`, pins the invariant that a cluster's
     result is a deterministic function of exactly these arguments --
-    which is what makes signature memoization and the parallel fan-out
-    bit-identical to serial replay.
+    which is what makes signature memoization, prefix sharing and the
+    parallel fan-out bit-identical to serial replay.
     """
     return ClusterSimulator(spec, config, use_cache).run(
         sm_queues, resident_per_sm
     )
+
+
+class _Fork(Exception):
+    """A queue pop on which the jobs sharing a simulation disagree."""
 
 
 class _Warp:
@@ -92,7 +107,9 @@ class _Warp:
     def __init__(self, stream, block, sm: int, gwid: int) -> None:
         self.stream = stream
         self.idx = 0
-        self.completions: list[float] = []
+        # Completion time of each issued event, as C doubles: four times
+        # smaller than a list of floats, and values round-trip exactly.
+        self.completions = array("d")
         self.maxcomp = 0.0
         self.block = block
         self.sm = sm
@@ -104,27 +121,196 @@ class _Warp:
         # current event last failed; valid while the warp is in a convoy.
         self.sel = -1
 
+    def copy(self, block: "_Block") -> "_Warp":
+        new = _Warp(self.stream, block, self.sm, self.gwid)
+        new.idx = self.idx
+        new.completions = self.completions[:]
+        new.maxcomp = self.maxcomp
+        new.waiting = self.waiting
+        new.last_arith = self.last_arith
+        new.last_shared = self.last_shared
+        new.sel = self.sel
+        return new
+
 
 class _Block:
-    __slots__ = ("warps", "alive", "arrivals", "sm", "done_time")
+    __slots__ = ("warps", "alive", "arrivals", "sm")
 
     def __init__(self, sm: int) -> None:
         self.warps: list[_Warp] = []
         self.alive = 0
         self.arrivals: list[float] = []
         self.sm = sm
-        self.done_time = 0.0
+
+    def copy(self, warp_copies: dict[int, _Warp]) -> None:
+        """Copy the block with its warps, recording each warp's copy."""
+        new = _Block(self.sm)
+        new.alive = self.alive
+        new.arrivals = self.arrivals.copy()
+        for warp in self.warps:
+            clone = warp.copy(new)
+            warp_copies[id(warp)] = clone
+            new.warps.append(clone)
 
 
 class _Sm:
-    __slots__ = ("issue_free", "pipe_free", "shared_free", "queue", "resident")
+    __slots__ = (
+        "issue_free",
+        "pipe_free",
+        "shared_free",
+        "queue",
+        "next",
+        "limit",
+        "forks",
+        "resident",
+    )
 
     def __init__(self) -> None:
         self.issue_free = 0.0
         self.pipe_free = [0.0, 0.0, 0.0, 0.0]
         self.shared_free = 0.0
+        # The next block to launch is queue[next].  Below ``limit``
+        # every job sharing the simulation queues the same block;
+        # ``forks`` says the jobs disagree at ``limit``.
         self.queue: list[BlockWork] = []
+        self.next = 0
+        self.limit = 0
+        self.forks = False
         self.resident = 0
+
+    def copy(self) -> "_Sm":
+        """Copy the timing state; the queue is assigned per partition."""
+        new = _Sm()
+        new.issue_free = self.issue_free
+        new.pipe_free = self.pipe_free.copy()
+        new.shared_free = self.shared_free
+        new.next = self.next
+        new.resident = self.resident
+        return new
+
+
+class _State:
+    """A cluster simulation between two iterations of the event loop.
+
+    Holds everything the loop carries from one iteration to the next,
+    so a group's simulation can stop at a divergent queue pop and
+    continue as several copies.
+    """
+
+    __slots__ = (
+        "sms",
+        "cache",
+        "heap",
+        "seq",
+        "gwid",
+        "dram_free",
+        "dram_busy",
+        "end_time",
+        "events",
+        "t",
+        "convoy",
+        "convoy_pos",
+        "conv",
+        "conv_t",
+        "conv_seq",
+        "fail_sel",
+        "fail_key",
+        "filled",
+        "pending",
+        "base",
+    )
+
+    #: Plain values :meth:`copy` takes over unchanged.
+    SCALARS = (
+        "seq",
+        "gwid",
+        "dram_free",
+        "dram_busy",
+        "end_time",
+        "events",
+        "t",
+        "convoy_pos",
+        "conv_t",
+        "conv_seq",
+        "fail_sel",
+        "fail_key",
+        "filled",
+        "pending",
+    )
+
+    def __init__(self, sms: list[_Sm], cache: TextureCache | None) -> None:
+        self.sms = sms
+        self.cache = cache
+        # Entries are (time, seq, item): item is a warp, or a convoy --
+        # a list of warps blocked on resources, processed in order.
+        self.heap: list[tuple] = []
+        self.seq = 0
+        self.gwid = 0
+        self.dram_free = 0.0
+        self.dram_busy = 0.0
+        self.end_time = 0.0
+        self.events = 0
+        self.t = 0.0
+        # The convoy being processed and the position of its next member.
+        self.convoy: list[_Warp] | None = None
+        self.convoy_pos = 0
+        # The newest convoy, which a blocked warp may join while no push
+        # has happened since (seq == conv_seq) and its time is equal.
+        self.conv: list[_Warp] = []
+        self.conv_t = 0.0
+        self.conv_seq = -1
+        # The last resource check that failed in the convoy being
+        # processed: its selector and issue time.
+        self.fail_sel = -1
+        self.fail_key = 0.0
+        # Whether every SM has received its initial blocks.
+        self.filled = False
+        # (sm, time) of the divergent queue pop the loop stopped at.
+        self.pending: tuple[int, float] | None = None
+        # Events already processed when this copy was taken.
+        self.base = 0
+
+    def copy(self) -> "_State":
+        """An independent copy sharing only the event streams.
+
+        Only live warps are reachable: those queued in the heap and the
+        rest of the convoy in progress, plus their blocks' other warps.
+        Warps are copied block by block and convoys once each, so
+        aliasing between the heap, the convoy in progress and the newest
+        convoy is kept.  A newest convoy that is neither queued nor in
+        progress is replaced by an empty list: a warp joining it is
+        dropped either way.
+        """
+        warps: dict[int, _Warp] = {}
+        convoys: dict[int, list[_Warp]] = {}
+
+        def warp(old: _Warp) -> _Warp:
+            if id(old) not in warps:
+                old.block.copy(warps)
+            return warps[id(old)]
+
+        def convoy(old: list[_Warp], start: int = 0) -> list[_Warp]:
+            new = convoys.get(id(old))
+            if new is None:
+                new = convoys[id(old)] = [warp(w) for w in old[start:]]
+            return new
+
+        new = _State(
+            [sm.copy() for sm in self.sms],
+            self.cache.copy() if self.cache is not None else None,
+        )
+        for name in self.SCALARS:
+            setattr(new, name, getattr(self, name))
+        new.heap = [
+            (t, seq, convoy(item) if item.__class__ is list else warp(item))
+            for t, seq, item in self.heap
+        ]
+        if self.convoy is not None:
+            new.convoy = convoy(self.convoy, self.convoy_pos)
+            new.convoy_pos = 0
+        new.conv = convoys.get(id(self.conv), [])
+        new.base = self.events
+        return new
 
 
 @dataclass
@@ -169,28 +355,118 @@ class ClusterSimulator:
         ``sm_queues[i]`` is the ordered list of blocks SM ``i`` must run;
         at most ``resident_per_sm`` are resident concurrently.
         """
-        if len(sm_queues) > self.num_sms:
-            raise HardwareModelError(
-                f"cluster has {self.num_sms} SMs, got {len(sm_queues)} queues"
-            )
+        return self.run_group([sm_queues], resident_per_sm)[0][0]
+
+    def run_group(
+        self,
+        jobs: list[list[list[BlockWork]]],
+        resident_per_sm: int,
+    ) -> tuple[list[ClusterResult], int, int]:
+        """Run several jobs' queues, simulating their common prefix once.
+
+        ``jobs`` are ``sm_queues`` arguments of :meth:`run`; blocks are
+        compared by identity.  Returns each job's result in job order,
+        equal to what :meth:`run` returns for it, then the number of
+        state copies taken and the number of events simulated.
+        """
+        for sm_queues in jobs:
+            if len(sm_queues) > self.num_sms:
+                raise HardwareModelError(
+                    f"cluster has {self.num_sms} SMs, "
+                    f"got {len(sm_queues)} queues"
+                )
         if resident_per_sm < 1:
             raise HardwareModelError("resident_per_sm must be at least 1")
 
         cfg = self.config
-        sms = [_Sm() for _ in range(self.num_sms)]
+        padded = [
+            list(sm_queues) + [[]] * (self.num_sms - len(sm_queues))
+            for sm_queues in jobs
+        ]
         cache = (
             TextureCache(cfg.texcache_bytes, cfg.texcache_line, cfg.texcache_ways)
             if self.use_cache
             else None
         )
-        # Entries are (time, seq, item): item is a warp, or a convoy --
-        # a list of warps blocked on resources, processed in order.
-        heap: list[tuple] = []
-        seq = 0
-        gwid = 0
-        dram_free = 0.0
-        dram_busy = 0.0
-        events_processed = 0
+        root = _State([_Sm() for _ in range(self.num_sms)], cache)
+        results: list[ClusterResult | None] = [None] * len(jobs)
+        copies = 0
+        simulated = 0
+        todo = [(root, list(range(len(jobs))))]
+        while todo:
+            state, members = todo.pop()
+            self._assign(state, [padded[j] for j in members])
+            if not self._advance(state, resident_per_sm):
+                sm_index = state.pending[0]
+                k = state.sms[sm_index].next
+                parts: dict[int | None, list[int]] = {}
+                for j in members:
+                    queue = padded[j][sm_index]
+                    key = id(queue[k]) if k < len(queue) else None
+                    parts.setdefault(key, []).append(j)
+                first, *rest = parts.values()
+                for part in rest:
+                    todo.append((state.copy(), part))
+                copies += len(rest)
+                todo.append((state, first))
+                continue
+
+            for sm in state.sms:
+                if sm.resident or sm.next < sm.limit or sm.forks:
+                    raise HardwareModelError(
+                        "cluster simulation ended with unfinished blocks "
+                        "(barrier deadlock in the event streams?)"
+                    )
+            simulated += state.events - state.base
+            cache = state.cache
+            for j in members:
+                results[j] = ClusterResult(
+                    cycles=state.end_time,
+                    events=state.events,
+                    cache_hits=cache.hits if cache else 0,
+                    cache_misses=cache.misses if cache else 0,
+                    dram_busy_cycles=state.dram_busy,
+                )
+        return results, copies, simulated
+
+    @staticmethod
+    def _assign(state: _State, member_queues: list[list[list]]) -> None:
+        """Point every SM at its queue, up to where the jobs disagree."""
+        for sm_index, sm in enumerate(state.sms):
+            queue = member_queues[0][sm_index]
+            limit = len(queue)
+            forks = False
+            for sm_queues in member_queues[1:]:
+                other = sm_queues[sm_index]
+                common = 0
+                bound = min(limit, len(other))
+                while common < bound and other[common] is queue[common]:
+                    common += 1
+                if common < limit or common < len(other):
+                    limit = common
+                    forks = True
+            sm.queue = queue
+            sm.limit = limit
+            sm.forks = forks
+
+    def _advance(self, state: _State, resident_per_sm: int) -> bool:
+        """Run the event loop from ``state`` and save it back there.
+
+        Returns True once every queue drained, or False at a queue pop
+        on which the jobs sharing ``state`` disagree; ``state.pending``
+        then names the pop, which the next call performs first.  Every
+        caller of that pop returns to the loop without changing state
+        again (``launch_block``, ``warp_finished`` and the main loop
+        call it last; ``_release_barrier`` finishes its block only at
+        the last live warp, so none of the warps after it waits), so
+        stopping there and resuming is exact.
+        """
+        cfg = self.config
+        sms = state.sms
+        cache = state.cache
+        heap = state.heap
+        seq = state.seq
+        gwid = state.gwid
 
         def launch_block(sm_index: int, work: BlockWork, at: float) -> None:
             nonlocal seq, gwid
@@ -208,13 +484,21 @@ class ClusterSimulator:
             if block.alive == 0:
                 finish_block(block, start)
 
+        def launch_next(sm_index: int, at: float) -> None:
+            sm = sms[sm_index]
+            k = sm.next
+            if k < sm.limit:
+                sm.next = k + 1
+                launch_block(sm_index, sm.queue[k], at)
+            elif sm.forks:
+                raise _Fork(sm_index, at)
+
         def finish_block(block: _Block, at: float) -> None:
-            nonlocal seq
-            block.done_time = at
-            sm = sms[block.sm]
-            sm.resident -= 1
-            if sm.queue:
-                launch_block(block.sm, sm.queue.pop(0), at)
+            # Break the block <-> warp cycle so the finished warps and
+            # their completion lists are freed now, not by the cyclic GC.
+            block.warps = None
+            sms[block.sm].resident -= 1
+            launch_next(block.sm, at)
 
         def warp_finished(warp: _Warp) -> None:
             block = warp.block
@@ -242,12 +526,6 @@ class ClusterSimulator:
                     else:
                         warp_finished(warp)
 
-        for sm_index, queue in enumerate(sm_queues):
-            sm = sms[sm_index]
-            sm.queue = list(queue)
-            while sm.queue and sm.resident < resident_per_sm:
-                launch_block(sm_index, sm.queue.pop(0), 0.0)
-
         window = cfg.ilp_window
         slack = cfg.repush_slack
         intervals = self.intervals
@@ -266,256 +544,289 @@ class ClusterSimulator:
         global_jitter = cfg.global_jitter
         jitter = deterministic_jitter
         dram_rate = self.dram_rate
-        end_time = 0.0
         heappush = heapq.heappush
         heappop = heapq.heappop
-        # The newest convoy, which a blocked warp may join while no push
-        # has happened since (seq == conv_seq) and its time is equal.
-        conv: list[_Warp] = []
-        conv_t = 0.0
-        conv_seq = -1
+        dram_free = state.dram_free
+        dram_busy = state.dram_busy
+        end_time = state.end_time
+        events_processed = state.events
+        t = state.t
+        conv = state.conv
+        conv_t = state.conv_t
+        conv_seq = state.conv_seq
         # The convoy being processed, and the last resource check that
         # failed in it: its selector and issue time.  Only an issue
         # changes the SM state such a check reads.
         convoy = None
-        fail_sel = -1
-        fail_key = 0.0
+        if state.convoy is not None:
+            convoy = iter(state.convoy)
+            convoy.__setstate__(state.convoy_pos)
+        fail_sel = state.fail_sel
+        fail_key = state.fail_key
 
-        while True:
-            if convoy is not None:
-                warp = next(convoy, None)
-                if warp is None:
-                    convoy = None
+        try:
+            if state.pending is not None:
+                sm_index, at = state.pending
+                state.pending = None
+                launch_next(sm_index, at)
+            if not state.filled:
+                for sm_index, sm in enumerate(sms):
+                    while sm.resident < resident_per_sm and (
+                        sm.next < sm.limit or sm.forks
+                    ):
+                        launch_next(sm_index, 0.0)
+                state.filled = True
+
+            while True:
+                if convoy is not None:
+                    warp = next(convoy, None)
+                    if warp is None:
+                        convoy = None
+                        continue
+                    if warp.sel == fail_sel:
+                        # Same selector at the same t with no issue
+                        # since: the check would fail again with the
+                        # same key.
+                        if fail_key == conv_t and seq == conv_seq:
+                            conv.append(warp)
+                        else:
+                            conv = [warp]
+                            heappush(heap, (fail_key, seq, conv))
+                            seq += 1
+                            conv_t = fail_key
+                            conv_seq = seq
+                        continue
+                elif heap:
+                    t, _, warp = heappop(heap)
+                    if warp.__class__ is list:
+                        convoy = iter(warp)
+                        fail_sel = -1
+                        continue
+                else:
+                    break
+                idx = warp.idx
+                stream = warp.stream
+                event = stream[idx]
+                kind = event[0]
+                dep = event[1]
+
+                ready = t
+                completions = warp.completions
+                if dep > 0 and dep <= idx:
+                    dep_time = completions[idx - dep]
+                    if dep_time > ready:
+                        ready = dep_time
+                if idx >= window:
+                    window_time = completions[idx - window]
+                    if window_time > ready:
+                        ready = window_time
+                if (
+                    arith_in_order
+                    and (kind == EV_ARITH or kind == EV_ARITH_SHARED)
+                    and warp.last_arith > ready
+                ):
+                    ready = warp.last_arith
+                if (
+                    shared_in_order
+                    and (kind == EV_SHARED or kind == EV_ARITH_SHARED)
+                    and warp.last_shared > ready
+                ):
+                    ready = warp.last_shared
+                if ready > t + 1e-9:
+                    heappush(heap, (ready, seq, warp))
+                    seq += 1
                     continue
-                if warp.sel == fail_sel:
-                    # Same selector at the same t with no issue since:
-                    # the check would fail again with the same key.
-                    if fail_key == conv_t and seq == conv_seq:
+
+                if kind == EV_BAR:
+                    block = warp.block
+                    arrival = max(t, warp.maxcomp)
+                    warp.waiting = True
+                    block.arrivals.append(arrival)
+                    if len(block.arrivals) == block.alive:
+                        _release_barrier(block)
+                    continue
+
+                sm = sms[warp.sm]
+                issue = t if t > sm.issue_free else sm.issue_free
+                if kind == EV_ARITH or kind == EV_ARITH_SHARED:
+                    pipe_free = sm.pipe_free[event[2]]
+                    if kind == EV_ARITH_SHARED and event[3]:
+                        # The operand collector cannot accept the shared
+                        # operand while the shared pipe is backlogged.
+                        if sm.shared_free > pipe_free:
+                            pipe_free = sm.shared_free
+                else:
+                    # Memory instructions generate addresses on the SPs,
+                    # so they occupy the type II pipe like any other
+                    # instruction.
+                    pipe_free = sm.pipe_free[1]
+                if pipe_free > issue:
+                    issue = pipe_free
+                if issue > t + slack:
+                    if kind == EV_ARITH or kind == EV_ARITH_SHARED:
+                        sel = warp.sm << 3 | event[2] << 1
+                        if kind == EV_ARITH_SHARED and event[3]:
+                            sel |= 1
+                    else:
+                        sel = warp.sm << 3 | 2
+                    warp.sel = fail_sel = sel
+                    fail_key = issue
+                    if issue == conv_t and seq == conv_seq:
                         conv.append(warp)
                     else:
                         conv = [warp]
-                        heappush(heap, (fail_key, seq, conv))
+                        heappush(heap, (issue, seq, conv))
                         seq += 1
-                        conv_t = fail_key
+                        conv_t = issue
                         conv_seq = seq
                     continue
-            elif heap:
-                t, _, warp = heappop(heap)
-                if warp.__class__ is list:
-                    convoy = iter(warp)
-                    fail_sel = -1
-                    continue
-            else:
-                break
-            idx = warp.idx
-            stream = warp.stream
-            event = stream[idx]
-            kind = event[0]
-            dep = event[1]
 
-            ready = t
-            completions = warp.completions
-            if dep > 0 and dep <= idx:
-                dep_time = completions[idx - dep]
-                if dep_time > ready:
-                    ready = dep_time
-            if idx >= window:
-                window_time = completions[idx - window]
-                if window_time > ready:
-                    ready = window_time
-            if (
-                arith_in_order
-                and (kind == EV_ARITH or kind == EV_ARITH_SHARED)
-                and warp.last_arith > ready
-            ):
-                ready = warp.last_arith
-            if (
-                shared_in_order
-                and (kind == EV_SHARED or kind == EV_ARITH_SHARED)
-                and warp.last_shared > ready
-            ):
-                ready = warp.last_shared
-            if ready > t + 1e-9:
-                heappush(heap, (ready, seq, warp))
-                seq += 1
-                continue
+                events_processed += 1
+                fail_sel = -1
+                sm.issue_free = issue + issue_gap
+                jkey = (warp.gwid << 20) ^ idx
+                next_gap = issue_gap
 
-            if kind == EV_BAR:
-                block = warp.block
-                arrival = max(t, warp.maxcomp)
-                warp.waiting = True
-                block.arrivals.append(arrival)
-                if len(block.arrivals) == block.alive:
-                    _release_barrier(block)
-                continue
+                if kind == EV_ARITH:
+                    type_index = event[2]
+                    interval = intervals[type_index]
+                    sm.pipe_free[type_index] = issue + interval
+                    comp = (
+                        issue
+                        + interval
+                        + latencies[type_index]
+                        + jitter(jkey, arith_jitter)
+                    )
+                elif kind == EV_ARITH_SHARED:
+                    type_index = event[2]
+                    ntrans = event[3]
+                    interval = intervals[type_index]
+                    sm.pipe_free[type_index] = issue + interval
+                    comp = (
+                        issue
+                        + interval
+                        + latencies[type_index]
+                        + jitter(jkey, arith_jitter)
+                    )
+                    if ntrans:
+                        # issue already waited for shared_free (see
+                        # above), so the shared pipe starts serving at
+                        # issue time.
+                        sm.shared_free = issue + halfwarp_cycles * ntrans
+                        comp += smem_operand_latency
+                        # Conflicted accesses replay: the issuing warp
+                        # stalls in order until the serialization drains.
+                        extra = ntrans - min(ntrans, 2)
+                        if extra:
+                            stall = replay_stall * extra
+                            if stall > next_gap:
+                                next_gap = stall
+                elif kind == EV_SHARED:
+                    ntrans = event[2]
+                    sm.pipe_free[1] = issue + intervals[1]
+                    if ntrans:
+                        start = (
+                            issue if issue > sm.shared_free else sm.shared_free
+                        )
+                        sm.shared_free = start + halfwarp_cycles * ntrans
+                        comp = (
+                            sm.shared_free
+                            + shared_latency
+                            + jitter(jkey, shared_jitter)
+                        )
+                        extra = ntrans - min(ntrans, 2)
+                        if extra:
+                            stall = replay_stall * extra
+                            if stall > next_gap:
+                                next_gap = stall
+                    else:
+                        comp = issue + 1.0
+                elif kind == EV_GLOBAL_LD or kind == EV_GLOBAL_ST:
+                    sm.pipe_free[1] = issue + intervals[1]
+                    # Split (uncoalesced) requests replay like bank
+                    # conflicts: the issuing warp stalls per extra
+                    # transaction.
+                    extra_txn = event[2] - min(event[2], 2)
+                    if extra_txn:
+                        stall = replay_stall * extra_txn
+                        if stall > next_gap:
+                            next_gap = stall
+                    nbytes = event[3]
+                    payload = event[4]
+                    hit_time = 0.0
+                    if (
+                        cache is not None
+                        and payload is not None
+                        and payload[0]
+                        and payload[1] is not None
+                    ):
+                        miss_bytes = 0
+                        hit_any = False
+                        for address, size in payload[1]:
+                            hits, misses = cache.access(address, size)
+                            miss_bytes += min(misses, size)
+                            if hits:
+                                hit_any = True
+                        nbytes = miss_bytes
+                        if hit_any:
+                            hit_time = issue + texcache_hit_latency
+                    if nbytes > 0:
+                        start = issue if issue > dram_free else dram_free
+                        service = nbytes / dram_rate
+                        dram_free = start + service
+                        dram_busy += service
+                        comp = (
+                            dram_free
+                            + global_latency
+                            + jitter(jkey, global_jitter)
+                        )
+                    else:
+                        comp = issue + 1.0
+                    if hit_time > comp:
+                        comp = hit_time
+                    if kind == EV_GLOBAL_ST:
+                        # Stores are fire-and-forget: the warp does not
+                        # wait for DRAM, only bandwidth is consumed.
+                        comp = issue + 1.0
+                else:  # pragma: no cover - unknown kinds rejected upstream
+                    raise HardwareModelError(f"unknown event kind {kind}")
 
-            sm = sms[warp.sm]
-            issue = t if t > sm.issue_free else sm.issue_free
-            if kind == EV_ARITH or kind == EV_ARITH_SHARED:
-                pipe_free = sm.pipe_free[event[2]]
-                if kind == EV_ARITH_SHARED and event[3]:
-                    # The operand collector cannot accept the shared
-                    # operand while the shared pipe is backlogged.
-                    if sm.shared_free > pipe_free:
-                        pipe_free = sm.shared_free
-            else:
-                # Memory instructions generate addresses on the SPs, so
-                # they occupy the type II pipe like any other instruction.
-                pipe_free = sm.pipe_free[1]
-            if pipe_free > issue:
-                issue = pipe_free
-            if issue > t + slack:
+                completions.append(comp)
                 if kind == EV_ARITH or kind == EV_ARITH_SHARED:
-                    sel = warp.sm << 3 | event[2] << 1
-                    if kind == EV_ARITH_SHARED and event[3]:
-                        sel |= 1
-                else:
-                    sel = warp.sm << 3 | 2
-                warp.sel = fail_sel = sel
-                fail_key = issue
-                if issue == conv_t and seq == conv_seq:
-                    conv.append(warp)
-                else:
-                    conv = [warp]
-                    heappush(heap, (issue, seq, conv))
+                    warp.last_arith = comp
+                if kind == EV_SHARED or kind == EV_ARITH_SHARED:
+                    warp.last_shared = comp
+                if comp > warp.maxcomp:
+                    warp.maxcomp = comp
+                if comp > end_time:
+                    end_time = comp
+                warp.idx = idx + 1
+                if warp.idx < len(stream):
+                    heappush(heap, (issue + next_gap, seq, warp))
                     seq += 1
-                    conv_t = issue
-                    conv_seq = seq
-                continue
-
-            events_processed += 1
-            fail_sel = -1
-            sm.issue_free = issue + issue_gap
-            jkey = (warp.gwid << 20) ^ idx
-            next_gap = issue_gap
-
-            if kind == EV_ARITH:
-                type_index = event[2]
-                interval = intervals[type_index]
-                sm.pipe_free[type_index] = issue + interval
-                comp = (
-                    issue
-                    + interval
-                    + latencies[type_index]
-                    + jitter(jkey, arith_jitter)
-                )
-            elif kind == EV_ARITH_SHARED:
-                type_index = event[2]
-                ntrans = event[3]
-                interval = intervals[type_index]
-                sm.pipe_free[type_index] = issue + interval
-                comp = (
-                    issue
-                    + interval
-                    + latencies[type_index]
-                    + jitter(jkey, arith_jitter)
-                )
-                if ntrans:
-                    # issue already waited for shared_free (see above),
-                    # so the shared pipe starts serving at issue time.
-                    sm.shared_free = issue + halfwarp_cycles * ntrans
-                    comp += smem_operand_latency
-                    # Conflicted accesses replay: the issuing warp stalls
-                    # in order until the serialization drains.
-                    extra = ntrans - min(ntrans, 2)
-                    if extra:
-                        stall = replay_stall * extra
-                        if stall > next_gap:
-                            next_gap = stall
-            elif kind == EV_SHARED:
-                ntrans = event[2]
-                sm.pipe_free[1] = issue + intervals[1]
-                if ntrans:
-                    start = issue if issue > sm.shared_free else sm.shared_free
-                    sm.shared_free = start + halfwarp_cycles * ntrans
-                    comp = (
-                        sm.shared_free
-                        + shared_latency
-                        + jitter(jkey, shared_jitter)
-                    )
-                    extra = ntrans - min(ntrans, 2)
-                    if extra:
-                        stall = replay_stall * extra
-                        if stall > next_gap:
-                            next_gap = stall
                 else:
-                    comp = issue + 1.0
-            elif kind == EV_GLOBAL_LD or kind == EV_GLOBAL_ST:
-                sm.pipe_free[1] = issue + intervals[1]
-                # Split (uncoalesced) requests replay like bank conflicts:
-                # the issuing warp stalls per extra transaction.
-                extra_txn = event[2] - min(event[2], 2)
-                if extra_txn:
-                    stall = replay_stall * extra_txn
-                    if stall > next_gap:
-                        next_gap = stall
-                nbytes = event[3]
-                payload = event[4]
-                hit_time = 0.0
-                if (
-                    cache is not None
-                    and payload is not None
-                    and payload[0]
-                    and payload[1] is not None
-                ):
-                    miss_bytes = 0
-                    hit_any = False
-                    for address, size in payload[1]:
-                        hits, misses = cache.access(address, size)
-                        miss_bytes += min(misses, size)
-                        if hits:
-                            hit_any = True
-                    nbytes = miss_bytes
-                    if hit_any:
-                        hit_time = issue + texcache_hit_latency
-                if nbytes > 0:
-                    start = issue if issue > dram_free else dram_free
-                    service = nbytes / dram_rate
-                    dram_free = start + service
-                    dram_busy += service
-                    comp = (
-                        dram_free
-                        + global_latency
-                        + jitter(jkey, global_jitter)
-                    )
-                else:
-                    comp = issue + 1.0
-                if hit_time > comp:
-                    comp = hit_time
-                if kind == EV_GLOBAL_ST:
-                    # Stores are fire-and-forget: the warp does not wait
-                    # for DRAM, only bandwidth is consumed.
-                    comp = issue + 1.0
-            else:  # pragma: no cover - unknown kinds rejected upstream
-                raise HardwareModelError(f"unknown event kind {kind}")
+                    warp_finished(warp)
+            finished = True
+        except _Fork as fork:
+            state.pending = fork.args
+            finished = False
 
-            completions.append(comp)
-            if kind == EV_ARITH or kind == EV_ARITH_SHARED:
-                warp.last_arith = comp
-            if kind == EV_SHARED or kind == EV_ARITH_SHARED:
-                warp.last_shared = comp
-            if comp > warp.maxcomp:
-                warp.maxcomp = comp
-            if comp > end_time:
-                end_time = comp
-            warp.idx = idx + 1
-            if warp.idx < len(stream):
-                heappush(heap, (issue + next_gap, seq, warp))
-                seq += 1
-            else:
-                warp_finished(warp)
-
-        for sm in sms:
-            if sm.queue or sm.resident:
-                raise HardwareModelError(
-                    "cluster simulation ended with unfinished blocks "
-                    "(barrier deadlock in the event streams?)"
-                )
-
-        return ClusterResult(
-            cycles=end_time,
-            events=events_processed,
-            cache_hits=cache.hits if cache else 0,
-            cache_misses=cache.misses if cache else 0,
-            dram_busy_cycles=dram_busy,
-        )
+        state.seq = seq
+        state.gwid = gwid
+        state.dram_free = dram_free
+        state.dram_busy = dram_busy
+        state.end_time = end_time
+        state.events = events_processed
+        state.t = t
+        state.conv = conv
+        state.conv_t = conv_t
+        state.conv_seq = conv_seq
+        state.fail_sel = fail_sel
+        state.fail_key = fail_key
+        state.convoy = None
+        if convoy is not None:
+            # A list iterator reduces to (iter, (list,), position).
+            reduced = convoy.__reduce__()
+            state.convoy = reduced[1][0]
+            state.convoy_pos = reduced[2] if len(reduced) > 2 else 0
+        return finished

@@ -14,9 +14,14 @@ representative, so classing is nearly free), each cluster's per-SM
 queues reduce to a *signature* of class-ID sequences, and only one
 cluster per distinct signature is simulated -- permuted queue
 assignments included (exactly-equal queues replay bit-identically;
-permuted ones reuse the representative within jitter).  The
-genuinely distinct cluster simulations fan out across the shared process
-pool (:mod:`repro.pool`), and whole measurements are memoized on disk
+permuted ones reuse the representative within jitter).  Distinct
+signatures whose SMs start with the same blocks -- e.g. a uniform grid's
+(18,17,17) and (17,17,17) clusters, or the wave-extrapolation probes --
+share the simulation of their common prefix and fork where their queues
+first differ (:meth:`repro.hw.cluster.ClusterSimulator.run_group`), with
+results byte-identical to simulating each alone.  The groups fan out
+across the shared process pool (:mod:`repro.pool`), and whole
+measurements are memoized on disk
 (:class:`repro.hw.engine.MeasuredRunCache`).
 """
 
@@ -181,9 +186,9 @@ class HardwareGpu:
         a homogeneous grid, a list is cycled across block indices -- a
         full per-block table (one entry per block, as the engine's exact
         trace tables provide) or a shorter representative sample.
-        ``dedup=False`` disables signature memoization and replays every
-        chosen cluster (the pre-dedup behaviour, kept for differential
-        benchmarks).
+        ``dedup=False`` disables signature memoization and prefix
+        sharing and replays every chosen cluster alone (the pre-dedup
+        behaviour, kept for differential benchmarks).
         """
         from repro import obs
 
@@ -483,6 +488,7 @@ class HardwareGpu:
             self._effective_workers(jobs),
             task_timeout=self.task_timeout,
             health=health,
+            _share_prefixes=dedup,
         )
 
         cluster_cycles: list[float] = []
@@ -520,9 +526,10 @@ class HardwareGpu:
         (two-wave minus one-wave) delta.  Requires every SM to have at
         least three full waves queued, otherwise exact simulation is
         cheap enough and ``None`` is returned.  The wave and tail
-        simulations are independent, so they run through the shared
-        cluster pool, and their texture-cache statistics are aggregated
-        per cluster exactly like the non-extrapolated path's.
+        simulations queue the same block, so they form one group that
+        simulates their common prefix once; their texture-cache
+        statistics are aggregated per cluster exactly like the
+        non-extrapolated path's.
         """
         resident = resident_per_sm
         min_count = min(min(c) for c in counts)

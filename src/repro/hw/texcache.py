@@ -52,6 +52,17 @@ class TextureCache:
                     entry.popitem(last=False)
         return hit_bytes, miss_bytes
 
+    def copy(self) -> "TextureCache":
+        """An independent cache with the same contents and counters."""
+        new = TextureCache.__new__(TextureCache)
+        new.line = self.line
+        new.ways = self.ways
+        new.num_sets = self.num_sets
+        new._sets = [entry.copy() for entry in self._sets]
+        new.hits = self.hits
+        new.misses = self.misses
+        return new
+
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses

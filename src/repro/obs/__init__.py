@@ -48,6 +48,7 @@ from repro.obs.core import (
     span,
     start,
     stop,
+    tag,
 )
 from repro.obs.export import export_session
 
@@ -66,6 +67,7 @@ __all__ = [
     "span",
     "start",
     "stop",
+    "tag",
 ]
 
 

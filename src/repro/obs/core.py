@@ -58,6 +58,8 @@ class Recorder:
         self._seq = 0
         self._pool_calls = 0
         self._stack: list[str] = []
+        #: Attributes of the open spans, innermost last (see :func:`tag`).
+        self._open_attrs: list[dict] = []
 
     # ------------------------------------------------------------------
     # spans
@@ -79,6 +81,7 @@ class Recorder:
         span_id = self.next_id()
         parent = self._stack[-1] if self._stack else None
         self._stack.append(span_id)
+        self._open_attrs.append(attrs)
         error = False
         t0 = time.perf_counter_ns()
         try:
@@ -89,6 +92,7 @@ class Recorder:
         finally:
             t1 = time.perf_counter_ns()
             self._stack.pop()
+            self._open_attrs.pop()
             event = {
                 "type": "span",
                 "id": span_id,
@@ -234,6 +238,14 @@ def event(name: str, **attrs) -> None:
     recorder = _RECORDER
     if recorder is not None:
         recorder.event(name, **attrs)
+
+
+def tag(**attrs) -> None:
+    """Add attributes to the innermost open span, e.g. results known
+    only at its end.  A no-op outside spans or with obs disabled."""
+    recorder = _RECORDER
+    if recorder is not None and recorder._open_attrs:
+        recorder._open_attrs[-1].update(attrs)
 
 
 def annotate(**fields) -> None:

@@ -49,6 +49,7 @@ GATE_METRICS: tuple[tuple[str, bool], ...] = (
     ("calibration.serial.events_per_second", True),
     ("calibration.pool.seconds", False),
     ("calibration.pool.events_per_second", True),
+    ("prefix.speedup", True),
 )
 
 #: Dotted paths of the bit-identity flags each payload carries.

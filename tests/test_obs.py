@@ -73,6 +73,21 @@ class TestRecorder:
         assert event["error"] is True
         assert recorder._stack == []  # unwound despite the raise
 
+    def test_tag_adds_attributes_to_the_innermost_open_span(self):
+        obs.tag(dropped=1)  # no recorder: a no-op
+        recorder = obs.start()
+        try:
+            obs.tag(dropped=2)  # no open span: a no-op
+            with obs.span("outer", a=1):
+                with obs.span("inner"):
+                    obs.tag(b=2)
+                obs.tag(c=3)
+        finally:
+            obs.stop()
+        attrs = {e["name"]: e["attrs"] for e in recorder.events}
+        assert attrs == {"inner": {"b": 2}, "outer": {"a": 1, "c": 3}}
+        assert recorder._open_attrs == []
+
     def test_pool_lanes_are_deterministic(self):
         recorder = core.Recorder()
         assert recorder.next_pool_lane() == "pool0"
