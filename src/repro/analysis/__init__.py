@@ -2,11 +2,9 @@
 
 Three layers, bottom to top:
 
-- :mod:`repro.analysis.affine` -- an abstract interpreter that runs the
-  kernel in an affine domain, deriving for every register, predicate,
-  and address a symbolic form ``a*tid + b*ctaid_x + c*ctaid_y + d`` or
-  top, plus a concolic per-class tracer that executes one symbolic
-  block per dedup class.
+- :mod:`repro.analysis.affine` -- a concolic per-class tracer that
+  executes one symbolic block per dedup class, carrying for every lane
+  an exact anchor value plus integer ``ctaid`` strides, or top.
 - :mod:`repro.analysis.dedup_proof` -- a segment-alignment proof over
   global-address ctaid strides that certifies block-dedup classes
   without probe simulations.
@@ -15,16 +13,7 @@ Three layers, bottom to top:
   reads, dead stores) and the ``repro analyze`` report front-end.
 """
 
-from repro.analysis.affine import (
-    LOOP,
-    TOP,
-    AffineForm,
-    ClassBox,
-    ClassTrace,
-    KernelAffineSummary,
-    affine_summary,
-    trace_block_class,
-)
+from repro.analysis.affine import ClassBox, ClassTrace, trace_block_class
 from repro.analysis.checks import Diagnostic, check_kernel
 from repro.analysis.dedup_proof import ProofResult, prove_block_class
 from repro.analysis.report import (
@@ -36,17 +25,12 @@ from repro.analysis.report import (
     render_text,
 )
 __all__ = [
-    "LOOP",
-    "TOP",
-    "AffineForm",
     "AnalysisCase",
     "BUILTIN_KERNELS",
     "ClassBox",
     "ClassTrace",
     "Diagnostic",
-    "KernelAffineSummary",
     "ProofResult",
-    "affine_summary",
     "analysis_case",
     "analyze_kernels",
     "check_kernel",

@@ -1,27 +1,21 @@
-"""Affine abstract interpretation over the kernel ISA.
+"""Concolic affine interpretation over the kernel ISA.
 
-Two cooperating interpreters share the instruction semantics of the
-functional simulator:
+:func:`trace_block_class` executes ONE symbolic block per dedup class,
+sharing the instruction semantics of the functional simulator.  Each
+lane carries a concrete *anchor* value (the class's minimum-ctaid
+member, evaluated with the exact float32/int64 semantics of
+``_EVAL_TABLE``) plus two exact integer strides ``d(value)/d(ctaid_x)``
+and ``d(value)/d(ctaid_y)`` and a ``top`` flag.  Affine values are
+exact for every member of the class; anything nonlinear in ctaid
+degrades to ``top``.  Predicates additionally track *class uniformity*,
+decided by evaluating the comparison at the corners of the class's
+ctaid box (an affine function attains its extremes at box corners, so
+corner agreement is a proof, not a heuristic).
 
-1. :func:`affine_summary` -- a launch-independent fixed-point pass
-   (same worklist/join skeleton as ``analyze_dependence`` in
-   ``sim/engine.py``) that derives for every register a symbolic form
-   ``a*tid + b*ctaid_x + c*ctaid_y + d``, where each coefficient is an
-   integer or ``TOP`` and the constant may additionally be ``LOOP``
-   (loop-varying).  It summarizes every memory address and guard in
-   those terms.
-
-2. :func:`trace_block_class` -- a concolic tracer that executes ONE
-   symbolic block per dedup class.  Each lane carries a concrete
-   *anchor* value (the class's minimum-ctaid member, evaluated with the
-   exact float32/int64 semantics of ``_EVAL_TABLE``) plus two exact
-   integer strides ``d(value)/d(ctaid_x)`` and ``d(value)/d(ctaid_y)``
-   and a ``top`` flag.  Affine values are exact for every member of the
-   class; anything nonlinear in ctaid degrades to ``top``.  Predicates
-   additionally track *class uniformity*, decided by evaluating the
-   comparison at the corners of the class's ctaid box (an affine
-   function attains its extremes at box corners, so corner agreement
-   is a proof, not a heuristic).
+The static question "can ``ctaid`` or loaded data change a block's
+trace?" is answered once, launch-independently, by the taint pass
+``analyze_dependence`` in ``sim/engine.py``; this module works per
+launch and per class.
 
 The tracer is the evidence source for both the dedup soundness proof
 (:mod:`repro.analysis.dedup_proof`) and the static checker
@@ -44,446 +38,10 @@ from repro.sim.functional import (
     LaunchConfig,
 )
 
-
-class _Sentinel:
-    """A singleton lattice element (``TOP`` / ``LOOP``)."""
-
-    __slots__ = ("label",)
-
-    def __init__(self, label: str) -> None:
-        self.label = label
-
-    def __repr__(self) -> str:
-        return self.label
-
-
-#: Unknown coefficient / constant: the value varies with the index in a
-#: way the affine domain cannot express.
-TOP = _Sentinel("top")
-#: Loop-varying constant: uniform across threads and blocks at any one
-#: program point, but different across loop iterations.
-LOOP = _Sentinel("loop")
-
-
-def _is_num(value) -> bool:
-    return not isinstance(value, _Sentinel)
-
-
-def _coeff_join(a, b):
-    return a if a == b else TOP
-
-
-def _const_join(a, b):
-    if a == b:
-        return a
-    if a is TOP or b is TOP:
-        return TOP
-    return LOOP
-
-
-def _coeff_add(a, b, sign=1):
-    if a is TOP or b is TOP:
-        return TOP
-    return a + sign * b
-
-
-def _const_add(a, b, sign=1):
-    if a is TOP or b is TOP:
-        return TOP
-    if a is LOOP or b is LOOP:
-        return LOOP
-    return a + sign * b
-
-
-def _coeff_scale(coeff, k):
-    if coeff == 0:
-        return 0
-    if coeff is TOP:
-        return TOP
-    return coeff * k
-
-
-def _const_scale(const, k):
-    if const is TOP:
-        return TOP
-    if const is LOOP:
-        return LOOP
-    return const * k
-
-
-@dataclass(frozen=True)
-class AffineForm:
-    """``tid*t + bx*ctaid_x + by*ctaid_y + const`` with TOP/LOOP holes.
-
-    ``data`` marks a (transitive) dependence on memory contents.
-    """
-
-    tid: object = 0
-    bx: object = 0
-    by: object = 0
-    const: object = 0.0
-    data: bool = False
-
-    @property
-    def is_number(self) -> bool:
-        """A single concrete scalar: all coefficients zero, known const."""
-        return (
-            self.tid == 0
-            and self.bx == 0
-            and self.by == 0
-            and _is_num(self.const)
-        )
-
-    @property
-    def affine(self) -> bool:
-        """No TOP coefficient and no memory dependence."""
-        return (
-            self.tid is not TOP
-            and self.bx is not TOP
-            and self.by is not TOP
-            and not self.data
-        )
-
-    @property
-    def tags(self) -> frozenset[str]:
-        """Which launch indices the value depends on."""
-        out = set()
-        if self.tid != 0:
-            out.add("tid")
-        if self.bx != 0:
-            out.add("ctaid_x")
-        if self.by != 0:
-            out.add("ctaid_y")
-        if self.const is LOOP:
-            out.add("loop")
-        if self.data:
-            out.add("data")
-        return frozenset(out)
-
-    def join(self, other: AffineForm) -> AffineForm:
-        return AffineForm(
-            _coeff_join(self.tid, other.tid),
-            _coeff_join(self.bx, other.bx),
-            _coeff_join(self.by, other.by),
-            _const_join(self.const, other.const),
-            self.data or other.data,
-        )
-
-    def plus(self, other: AffineForm, sign: int = 1) -> AffineForm:
-        return AffineForm(
-            _coeff_add(self.tid, other.tid, sign),
-            _coeff_add(self.bx, other.bx, sign),
-            _coeff_add(self.by, other.by, sign),
-            _const_add(self.const, other.const, sign),
-            self.data or other.data,
-        )
-
-    def scaled(self, k: float) -> AffineForm:
-        if k == 0:
-            return AffineForm(data=self.data)
-        return AffineForm(
-            _coeff_scale(self.tid, k),
-            _coeff_scale(self.bx, k),
-            _coeff_scale(self.by, k),
-            _const_scale(self.const, k),
-            self.data,
-        )
-
-    def widened(self, tags: frozenset[str]) -> AffineForm:
-        """Poison the dimensions named by ``tags`` (guarded writes)."""
-        return AffineForm(
-            TOP if "tid" in tags else self.tid,
-            TOP if "ctaid_x" in tags else self.bx,
-            TOP if "ctaid_y" in tags else self.by,
-            LOOP if "loop" in tags and _is_num(self.const) else self.const,
-            self.data or "data" in tags,
-        )
-
-    def describe(self) -> str:
-        parts = []
-        coeffs = ((self.tid, "tid"), (self.bx, "ctaid_x"), (self.by, "ctaid_y"))
-        for coeff, name in coeffs:
-            if coeff is TOP:
-                parts.append(f"top*{name}")
-            elif coeff != 0:
-                parts.append(f"{_fmt_num(coeff)}*{name}")
-        if self.const is TOP:
-            parts.append("top")
-        elif self.const is LOOP:
-            parts.append("loop")
-        elif self.const != 0 or not parts:
-            parts.append(_fmt_num(self.const))
-        text = " + ".join(parts)
-        if self.data:
-            text += " [data]"
-        return text
-
-
-def _fmt_num(value) -> str:
-    as_float = float(value)
-    if as_float.is_integer():
-        return str(int(as_float))
-    return repr(as_float)
-
-
-_TOP_FORM = AffineForm(TOP, TOP, TOP, TOP, data=True)
-_SPECIAL_FORMS = {
-    "tid": AffineForm(tid=1),
-    "ctaid_x": AffineForm(bx=1),
-    "ctaid_y": AffineForm(by=1),
-}
-#: Launch-uniform but statically unknown scalar.
-_UNIFORM_UNKNOWN = AffineForm(const=TOP)
-
 _LINEAR_SIGN = {Opcode.IADD: 1, Opcode.ISUB: -1}
 
 _LOAD_KINDS = (OpKind.LOAD_GLOBAL, OpKind.LOAD_SHARED)
 _STORE_KINDS = (OpKind.STORE_GLOBAL, OpKind.STORE_SHARED)
-
-
-# --------------------------------------------------------------------------
-# Launch-independent fixed-point pass
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AddressSummary:
-    """Symbolic form of one memory instruction's byte address."""
-
-    index: int
-    space: str  # 'global' | 'shared'
-    store: bool
-    form: AffineForm
-
-
-@dataclass(frozen=True)
-class KernelAffineSummary:
-    """What the affine fixed point proved about a kernel."""
-
-    kernel: str
-    addresses: tuple[AddressSummary, ...]
-    guards: dict[int, frozenset[str]]
-
-    @property
-    def affine(self) -> bool:
-        """Every address affine and every guard memory-independent."""
-        return all(a.form.affine for a in self.addresses) and all(
-            "data" not in deps for deps in self.guards.values()
-        )
-
-
-class _AffineState:
-    """Join-semilattice state at one program point."""
-
-    __slots__ = ("regs", "preds", "smem")
-
-    def __init__(self, regs, preds, smem):
-        self.regs = regs
-        self.preds = preds
-        self.smem = smem
-
-    def copy(self) -> _AffineState:
-        return _AffineState(list(self.regs), list(self.preds), self.smem)
-
-    def join(self, other: _AffineState) -> bool:
-        changed = False
-        for i, form in enumerate(other.regs):
-            merged = self.regs[i].join(form)
-            if merged != self.regs[i]:
-                self.regs[i] = merged
-                changed = True
-        for i, deps in enumerate(other.preds):
-            merged = self.preds[i] | deps
-            if merged != self.preds[i]:
-                self.preds[i] = merged
-                changed = True
-        merged = self.smem.join(other.smem)
-        if merged != self.smem:
-            self.smem = merged
-            changed = True
-        return changed
-
-
-def _static_operand(state: _AffineState, launch, src) -> AffineForm:
-    kind = src[0]
-    if kind == "reg":
-        return state.regs[src[1]]
-    if kind == "imm":
-        return AffineForm(const=src[1])
-    if kind == "special":
-        name = src[1]
-        if name in _SPECIAL_FORMS:
-            return _SPECIAL_FORMS[name]
-        if launch is not None:
-            if name == "ntid":
-                return AffineForm(const=float(launch.block_threads))
-            if name == "nctaid_x":
-                return AffineForm(const=float(launch.grid[0]))
-            if name == "nctaid_y":
-                return AffineForm(const=float(launch.grid[1]))
-        return _UNIFORM_UNKNOWN
-    if kind == "mem":  # shared operand of an arithmetic instruction
-        return state.smem
-    raise AssertionError(f"unexpected static operand {src!r}")
-
-
-def _static_transfer(op: Opcode, forms: list[AffineForm]) -> AffineForm:
-    """Abstract version of one ``_EVAL_TABLE`` entry."""
-    if op is Opcode.MOV:
-        return forms[0]
-    if op in _LINEAR_SIGN:
-        return forms[0].plus(forms[1], _LINEAR_SIGN[op])
-    if op in (Opcode.IMUL, Opcode.IMAD):
-        a, b = forms[0], forms[1]
-        if b.is_number:
-            prod = a.scaled(float(b.const))
-        elif a.is_number:
-            prod = b.scaled(float(a.const))
-        else:
-            prod = _opaque(a, b)
-        if op is Opcode.IMAD:
-            prod = prod.plus(forms[2])
-        return prod
-    if op is Opcode.ISHL and forms[1].is_number:
-        return forms[0].scaled(float(2 ** int(forms[1].const)))
-    return _opaque(*forms)
-
-
-def _opaque(*forms: AffineForm) -> AffineForm:
-    """Nonlinear combination: keep only which-index-it-varies-with."""
-    tid = 0 if all(f.tid == 0 for f in forms) else TOP
-    bx = 0 if all(f.bx == 0 for f in forms) else TOP
-    by = 0 if all(f.by == 0 for f in forms) else TOP
-    if any(f.const is TOP for f in forms) or TOP in (tid, bx, by):
-        const: object = TOP
-    elif any(f.const is LOOP for f in forms):
-        const = LOOP
-    else:
-        const = TOP  # concrete folding is the tracer's job
-    return AffineForm(tid, bx, by, const, any(f.data for f in forms))
-
-
-def _mem_operand(instr: _Decoded):
-    """The (space, base, offset) a decoded instruction touches, if any."""
-    if instr.dst_mem is not None:
-        return instr.dst_mem
-    if instr.kind in _LOAD_KINDS:
-        _, base, offset = instr.srcs[0]
-        space = "global" if instr.kind == OpKind.LOAD_GLOBAL else "shared"
-        return (space, base, offset)
-    for src in instr.srcs:
-        if src[0] == "mem":  # arithmetic shared operand
-            return ("shared", src[1], src[2])
-    return None
-
-
-def _weak_write(
-    state: _AffineState, reg: int, result: AffineForm, guard_tags: frozenset[str]
-) -> None:
-    """Guarded writes widen by the guard's tags and weak-join the old value."""
-    result = result.widened(guard_tags)
-    if guard_tags:
-        result = state.regs[reg].join(result)
-    state.regs[reg] = result
-
-
-def affine_summary(
-    kernel: Kernel, launch: LaunchConfig | None = None
-) -> KernelAffineSummary:
-    """Run the affine fixed point over the kernel CFG.
-
-    ``launch`` optionally binds parameter registers and grid specials to
-    concrete values, sharpening multiplications by runtime scalars
-    (e.g. ``row * n``); without it those factors stay symbolic.
-    """
-    decoded = [_Decoded(instr, kernel.labels) for instr in kernel.instructions]
-    nregs = max(kernel.num_registers, 1)
-    npreds = max(kernel.num_predicates, 1)
-
-    init_regs = [AffineForm() for _ in range(nregs)]
-    for name in kernel.params:
-        reg = kernel.param_regs[name]
-        if launch is not None and name in launch.params:
-            init_regs[reg] = AffineForm(const=float(launch.params[name]))
-        else:
-            init_regs[reg] = _UNIFORM_UNKNOWN
-    entry = _AffineState(init_regs, [frozenset()] * npreds, AffineForm())
-
-    states: list[_AffineState | None] = [None] * (len(decoded) + 1)
-    states[0] = entry
-    worklist = [0]
-    addresses: dict[int, AddressSummary] = {}
-    guards: dict[int, frozenset[str]] = {}
-
-    while worklist:
-        index = worklist.pop()
-        if index >= len(decoded):
-            continue
-        state = states[index].copy()
-        instr = decoded[index]
-        kind = instr.kind
-
-        guard_tags: frozenset[str] = frozenset()
-        if instr.guard is not None:
-            guard_tags = state.preds[instr.guard[0]]
-            guards[index] = guards.get(index, frozenset()) | guard_tags
-
-        mem = _mem_operand(instr)
-        if mem is not None:
-            space, base, offset = mem
-            form = AffineForm(const=float(offset))
-            if base >= 0:
-                form = form.plus(state.regs[base])
-            prev = addresses.get(index)
-            if prev is not None:
-                form = prev.form.join(form)
-            addresses[index] = AddressSummary(
-                index, space, instr.dst_mem is not None, form
-            )
-
-        new = state
-
-        if kind in (OpKind.ARITH, OpKind.SELECT):
-            if instr.opcode is Opcode.SEL:
-                pdeps = state.preds[instr.srcs[0][1]]
-                a = _static_operand(state, launch, instr.srcs[1])
-                b = _static_operand(state, launch, instr.srcs[2])
-                result = a.join(b).widened(pdeps)
-            else:
-                forms = [_static_operand(state, launch, s) for s in instr.srcs]
-                result = _static_transfer(instr.opcode, forms)
-            _weak_write(new, instr.dst_reg, result, guard_tags)
-        elif kind == OpKind.LOAD_GLOBAL:
-            _weak_write(new, instr.dst_reg, _TOP_FORM, guard_tags)
-        elif kind == OpKind.LOAD_SHARED:
-            _weak_write(new, instr.dst_reg, state.smem, guard_tags)
-        elif kind == OpKind.STORE_SHARED:
-            stored = _static_operand(state, launch, instr.srcs[0])
-            addr_tags = addresses[index].form.tags
-            new.smem = new.smem.join(stored.widened(guard_tags | addr_tags))
-        elif kind == OpKind.SETP:
-            a = _static_operand(state, launch, instr.srcs[0])
-            b = _static_operand(state, launch, instr.srcs[1])
-            deps = a.plus(b, -1).tags | guard_tags
-            if guard_tags:
-                deps |= state.preds[instr.dst_pred]
-            new.preds[instr.dst_pred] = deps
-        # STORE_GLOBAL / BRANCH / BARRIER / EXIT / NOP: no state change.
-
-        succs = [index + 1]
-        if kind == OpKind.BRANCH and instr.target >= 0:
-            succs = [instr.target] if instr.guard is None else [index + 1, instr.target]
-        elif kind == OpKind.EXIT:
-            succs = []
-        for succ in succs:
-            if states[succ] is None:
-                states[succ] = new.copy()
-                worklist.append(succ)
-            elif states[succ].join(new):
-                worklist.append(succ)
-
-    ordered = tuple(addresses[i] for i in sorted(addresses))
-    return KernelAffineSummary(kernel.name, ordered, guards)
 
 
 # --------------------------------------------------------------------------

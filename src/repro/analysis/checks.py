@@ -94,24 +94,17 @@ def check_kernel(
     )
     classes = partition_blocks(launch, role_dependence)
 
-    traces: list[ClassTrace] = []
-    for cls in classes:
-        box = ClassBox.from_members(cls.members)
-        if box is None:  # pragma: no cover - role classes are rectangles
-            box = ClassBox(
-                min(m[0] for m in cls.members),
-                max(m[0] for m in cls.members),
-                min(m[1] for m in cls.members),
-                max(m[1] for m in cls.members),
-            )
-        traces.append(
-            trace_block_class(
-                kernel,
-                launch,
-                box,
-                max_warp_instructions=max_warp_instructions,
-            )
+    # Role classes are products of per-dimension role ranges, so every
+    # class is a rectangle.
+    traces: list[ClassTrace] = [
+        trace_block_class(
+            kernel,
+            launch,
+            ClassBox.from_members(cls.members),
+            max_warp_instructions=max_warp_instructions,
         )
+        for cls in classes
+    ]
 
     finder = _DiagnosticFinder(kernel)
     for trace in traces:

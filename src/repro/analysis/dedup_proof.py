@@ -60,9 +60,6 @@ class ProofResult:
     #: (0 when refused before the access scan).
     checked_accesses: int = 0
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.proved
-
 
 def _refuse(reason: str, checked: int = 0) -> ProofResult:
     return ProofResult(False, reason, checked)

@@ -3,8 +3,9 @@
 Each built-in case pairs an app kernel with a representative problem
 instance (the checker and the dedup proof both reason about one launch
 configuration at a time).  The report renders per-kernel diagnostics
-plus the affine summary's verdict, as text or JSON, and the CLI exits
-nonzero when any error-severity diagnostic fires.
+plus an affine-addressing verdict read off those diagnostics, as text
+or JSON, and the CLI exits nonzero when any error-severity diagnostic
+fires.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.errors import ReproError
 from repro.isa.program import Kernel
 from repro.sim.functional import LaunchConfig
 from repro.sim.memory import GlobalMemory
-from repro.analysis.affine import affine_summary
 from repro.analysis.checks import SEVERITIES, Diagnostic, check_kernel
 
 
@@ -108,13 +108,18 @@ def analysis_case(name: str) -> AnalysisCase:
     return factory()
 
 
+#: Checker codes that mean some address left the affine domain: it
+#: depends on loaded data, or the class tracer had to give up.
+_NON_AFFINE_CODES = ("data-addresses", "analysis-incomplete")
+
+
 @dataclass(frozen=True)
 class KernelReport:
     """Checker output for one case."""
 
     name: str
     diagnostics: tuple[Diagnostic, ...]
-    affine: bool  # affine_summary: every address affine, guards data-free
+    affine: bool  # no data-dependent address, tracer stayed affine
 
     def count(self, severity: str) -> int:
         return sum(1 for d in self.diagnostics if d.severity == severity)
@@ -130,9 +135,9 @@ def analyze_kernels(names: list[str] | None = None) -> list[KernelReport]:
     reports = []
     for name in selected:
         case = analysis_case(name)
-        diagnostics = check_kernel(case.kernel, case.launch, case.gmem)
-        summary = affine_summary(case.kernel, case.launch)
-        reports.append(KernelReport(name, tuple(diagnostics), summary.affine))
+        diagnostics = tuple(check_kernel(case.kernel, case.launch, case.gmem))
+        affine = not any(d.code in _NON_AFFINE_CODES for d in diagnostics)
+        reports.append(KernelReport(name, diagnostics, affine))
     return reports
 
 

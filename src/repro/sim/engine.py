@@ -17,12 +17,17 @@ pattern -- so the engine exploits that structure instead of brute force:
    per class is simulated and its :class:`BlockTrace` is replicated with
    the exact class multiplicity (:func:`aggregate_weighted` -- no
    representative-sample extrapolation).
-2. **Probe verification.**  Taint analysis is conservative about what it
-   *refuses* to dedup, but it cannot prove that block-dependent global
-   addresses preserve coalescing.  Every multi-member class is therefore
-   verified by also simulating a second member and comparing behavioural
-   fingerprints (:meth:`BlockTrace.stats_key`); on mismatch the class is
-   demoted and every member is simulated individually.
+2. **Verification: proof, then probes.**  Taint analysis is
+   conservative about what it *refuses* to dedup, but it cannot show
+   that block-dependent global addresses preserve coalescing.  Every
+   multi-member class first goes to the static soundness proof
+   (:mod:`repro.analysis.dedup_proof`); a proved class simulates only
+   its representative.  A class the proof refuses is probe-verified:
+   up to three more members (:attr:`BlockClass.verifiers`) are
+   simulated and their behavioural fingerprints
+   (:meth:`BlockTrace.stats_key`) compared with the representative's;
+   on mismatch the class is demoted and every member is simulated
+   individually.
 3. **Parallel fan-out.**  Blocks that do need simulating are distributed
    over a ``multiprocessing`` pool (``workers`` > 1).  Workers only
    produce statistics; global-memory *writes* stay in the worker, so the
@@ -43,7 +48,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from repro.arch.specs import GpuSpec, GTX285
-from repro.errors import AnalysisError, LaunchError, ReproError
+from repro.errors import LaunchError, ReproError
 from repro.isa.instructions import MemRef, Pred, Reg, Special
 from repro.isa.opcodes import OpKind
 from repro.isa.program import Kernel
@@ -75,8 +80,11 @@ from repro.sim.trace import (
 #: *barriered* kernels, and the slab width (grid_batch_blocks) joined
 #: the key.
 #: v5: the static dedup soundness proof can skip verifier probes
-#: (``dedup_verify`` joined the key) and class members are canonically
-#: sorted, so stats like ``simulated_blocks`` changed for proved grids.
+#: (the verification mode joined the key) and class members are
+#: canonically sorted, so stats like ``simulated_blocks`` changed for
+#: proved grids.  The mode knob was later removed (proof first, probes
+#: only for refused classes); dropping it from the key changed the key
+#: bytes, so that needed no bump.
 #: v6: covered dedup classes synthesize their representative trace in
 #: closed form instead of interpreting it (the trace mode joined the
 #: key), so ``simulated_blocks``/``synthesized_classes`` changed for
@@ -120,10 +128,6 @@ class KernelDependence:
     @property
     def block_in_control(self) -> bool:
         return bool((self.control | self.shared_addr) & TAINT_BLOCK)
-
-    @property
-    def block_in_addresses(self) -> bool:
-        return bool(self.global_addr & TAINT_BLOCK)
 
 
 class _TaintState:
@@ -591,15 +595,6 @@ class SimulationEngine:
         ``$REPRO_GRID_BATCH_BLOCKS``, then the machine's persisted
         tuning profile keyed by the launch's warps-per-block, then the
         built-in default.
-    dedup_verify:
-        How multi-member dedup classes are verified.  ``"proof"``
-        (default) consults the static soundness proof
-        (:mod:`repro.analysis.dedup_proof`) first and only probe-
-        simulates classes the proof refuses.  ``"probe"`` is the
-        probe-only status quo.  ``"both"`` runs the proof *and* the
-        probes and raises :class:`~repro.errors.AnalysisError` if a
-        proved class's probes disagree -- a prover-or-simulator bug
-        that must never be silently demoted.
     task_timeout:
         Per-task watchdog budget (seconds) for pooled simulation tasks;
         a hung worker is killed after this long and its task re-executed
@@ -622,19 +617,12 @@ class SimulationEngine:
         max_warp_instructions: int = 50_000_000,
         batched: bool = True,
         grid_batch_blocks: int | None = None,
-        dedup_verify: str = "proof",
         task_timeout: float | None = None,
         faults=None,
     ) -> None:
-        if dedup_verify not in ("proof", "probe", "both"):
-            raise ReproError(
-                f"dedup_verify must be 'proof', 'probe', or 'both', "
-                f"not {dedup_verify!r}"
-            )
         self.kernel = kernel
         self.gmem = gmem if gmem is not None else GlobalMemory()
         self.spec = spec
-        self.dedup_verify = dedup_verify
         self.workers = max(0, int(workers))
         self.max_warp_instructions = max_warp_instructions
         self.batched = batched
@@ -845,23 +833,20 @@ class SimulationEngine:
 
         # Phase 0: static soundness proof.  A proved class is exact by
         # translation invariance, so its verifier probes are skipped
-        # entirely (under "both" they still run, as a prover audit).
-        proved: set[int] = set()
-        if self.dedup_verify in ("proof", "both"):
-            # Imported lazily: repro.analysis.checks imports this
-            # module for the taint pass and the block partitioner.
-            from repro.analysis.dedup_proof import prove_block_class
+        # entirely.
+        # Imported lazily: repro.analysis.checks imports this module for
+        # the taint pass and the block partitioner.
+        from repro.analysis.dedup_proof import prove_block_class
 
-            with obs.span("engine.proof", classes=len(classes)):
-                for index, cls in enumerate(classes):
-                    if not cls.verifiers:
-                        continue
-                    if prove_block_class(
-                        self.kernel, launch, cls.members, self.gmem
-                    ):
-                        proved.add(index)
+        proved: set[int] = set()
+        with obs.span("engine.proof", classes=len(classes)):
+            for index, cls in enumerate(classes):
+                if cls.verifiers and prove_block_class(
+                    self.kernel, launch, cls.members, self.gmem
+                ).proved:
+                    proved.add(index)
         # Multi-member classes the proof did not certify fall back to
-        # probe simulation (all of them, under dedup_verify="probe").
+        # probe simulation.
         self._proof_fallbacks = sum(
             1
             for index, cls in enumerate(classes)
@@ -874,39 +859,25 @@ class SimulationEngine:
         probe_blocks: list[tuple[int, int]] = []
         for index, cls in enumerate(classes):
             probe_blocks.append(cls.representative)
-            if cls.verifiers and (
-                index not in proved or self.dedup_verify == "both"
-            ):
+            if cls.verifiers and index not in proved:
                 probe_blocks.extend(cls.verifiers)
         probe_traces = dict(
             zip(probe_blocks, self._simulate(launch, probe_blocks))
         )
 
         # Phase 2: verify; classes with any disagreeing probe are
-        # demoted and every member is simulated individually.  A
-        # *proved* class whose probes disagree is a contradiction
-        # between the prover and the simulator: hard error.
+        # demoted and every member is simulated individually.
         fallback_blocks: list[tuple[int, int]] = []
         demoted: set[int] = set()
         with obs.span("engine.verify", probes=len(probe_blocks)):
             for index, cls in enumerate(classes):
-                if not cls.verifiers:
-                    continue
-                if index in proved and self.dedup_verify != "both":
+                if not cls.verifiers or index in proved:
                     continue
                 rep_key = probe_traces[cls.representative].stats_key()
                 if any(
                     probe_traces[v].stats_key() != rep_key
                     for v in cls.verifiers
                 ):
-                    if index in proved:
-                        raise AnalysisError(
-                            f"dedup proof certified class "
-                            f"{cls.members[0]}..{cls.members[-1]} of "
-                            f"kernel {self.kernel.name!r}, but probe "
-                            "simulations disagree with the "
-                            "representative; prover or simulator bug"
-                        )
                     demoted.add(index)
                     fallback_blocks.extend(
                         b for b in cls.members if b not in probe_traces
@@ -1113,9 +1084,6 @@ class SimulationEngine:
         h.update(self.gmem.digest().encode())
         h.update(repr(tuple(blocks) if blocks is not None else "full").encode())
         h.update(f"dedup={dedup}".encode())
-        # Proof-skipped probes change EngineStats (simulated_blocks,
-        # proved_classes), which ride inside the cached trace.
-        h.update(f"verify={self.dedup_verify}".encode())
         # The runaway-instruction guard must still fire on warm caches.
         h.update(f"limit={self.simulator.max_warp_instructions}".encode())
         # Pooled workers see pickled gmem copies, so cross-block write

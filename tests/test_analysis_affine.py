@@ -1,51 +1,11 @@
-"""Affine domain, fixed-point summary, and the concolic class tracer."""
+"""Class boxes and the concolic class tracer."""
 
 import numpy as np
-import pytest
 
-from repro.analysis.affine import (
-    LOOP,
-    TOP,
-    AffineForm,
-    ClassBox,
-    affine_summary,
-    trace_block_class,
-)
+from repro.analysis.affine import ClassBox, trace_block_class
 from repro.isa import Imm, KernelBuilder
 from repro.sim.functional import LaunchConfig
 from repro.sim.memory import GlobalMemory
-
-
-class TestAffineForm:
-    def test_plus_adds_coefficients(self):
-        a = AffineForm(tid=4, bx=128, const=8.0)
-        b = AffineForm(tid=1, by=2, const=-3.0)
-        s = a.plus(b)
-        assert (s.tid, s.bx, s.by, s.const) == (5, 128, 2, 5.0)
-
-    def test_join_disagreeing_constants_is_loop(self):
-        a = AffineForm(const=1.0)
-        b = AffineForm(const=2.0)
-        assert a.join(b).const is LOOP
-
-    def test_join_disagreeing_coefficients_is_top(self):
-        a = AffineForm(tid=4)
-        b = AffineForm(tid=8)
-        joined = a.join(b)
-        assert joined.tid is TOP
-        assert not joined.affine
-
-    def test_scaled_by_zero_collapses(self):
-        form = AffineForm(tid=TOP, bx=3, const=LOOP)
-        assert AffineForm(data=False) == form.scaled(0)
-
-    def test_tags(self):
-        form = AffineForm(tid=1, bx=2, const=LOOP, data=True)
-        assert form.tags == {"tid", "ctaid_x", "loop", "data"}
-
-    def test_describe_mentions_every_term(self):
-        text = AffineForm(tid=4, bx=128, const=16.0).describe()
-        assert "4*tid" in text and "128*ctaid_x" in text and "16" in text
 
 
 def _linear_store_kernel():
@@ -60,44 +20,6 @@ def _linear_store_kernel():
     b.stg(addr, v)
     b.exit()
     return b.build()
-
-
-class TestAffineSummary:
-    def test_linear_store_address_is_affine(self):
-        kernel = _linear_store_kernel()
-        gmem = GlobalMemory()
-        out = gmem.alloc(4 * 128, "out")
-        launch = LaunchConfig(
-            grid=(4, 1), block_threads=32, params={"out": out}
-        )
-        summary = affine_summary(kernel, launch)
-        assert summary.affine
-        (store,) = [a for a in summary.addresses if a.store]
-        assert store.space == "global"
-        assert store.form.tid == 4
-        assert store.form.bx == 128
-
-    def test_without_launch_param_base_stays_uniform(self):
-        summary = affine_summary(_linear_store_kernel())
-        (store,) = [a for a in summary.addresses if a.store]
-        # ntid is unknown without a launch: the ctaid_x coefficient
-        # degrades, but the form must not invent a data dependence.
-        assert not store.form.data
-
-    def test_loop_counter_becomes_loop_varying(self):
-        b = KernelBuilder("looped", params=("out",))
-        i = b.reg()
-        b.mov(i, Imm(0))
-        with b.counted_loop(4):
-            b.iadd(i, i, Imm(1))
-        addr = b.reg()
-        b.imad(addr, i, Imm(4), b.param("out"))
-        b.stg(addr, i)
-        b.exit()
-        kernel = b.build()
-        summary = affine_summary(kernel)
-        (store,) = [a for a in summary.addresses if a.store]
-        assert store.form.const is LOOP or store.form.const is TOP
 
 
 class TestClassBox:

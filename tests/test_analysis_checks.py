@@ -149,6 +149,13 @@ class TestShippedKernelsClean:
             assert report.count("error") == 0, report.name
             assert report.count("warning") == 0, report.name
 
+    def test_affine_verdicts(self):
+        verdicts = {r.name: r.affine for r in analyze_kernels()}
+        assert verdicts == {
+            name: name != "spmv" for name in BUILTIN_KERNELS
+        }
+        assert sum(verdicts.values()) == 7
+
     def test_data_dependent_spmv_reports_info_only(self):
         (report,) = analyze_kernels(["spmv"])
         assert report.clean

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.dedup_proof import prove_block_class
 from repro.analysis.report import analysis_case
-from repro.errors import AnalysisError, ReproError
 from repro.isa import Imm, KernelBuilder
 from repro.sim.engine import (
     BlockClass,
@@ -14,7 +13,7 @@ from repro.sim.engine import (
     analyze_dependence,
     partition_blocks,
 )
-from repro.sim.functional import LaunchConfig
+from repro.sim.functional import FunctionalSimulator, LaunchConfig
 from repro.sim.memory import GlobalMemory
 
 AFFINE_KERNELS = (
@@ -67,19 +66,56 @@ class TestProofCoverage:
         assert stats.simulated_blocks == stats.total_blocks
 
 
+def _refuse_every_class(monkeypatch):
+    """Make the engine probe-verify every class, as without a proof."""
+    import repro.analysis.dedup_proof as dedup_proof
+
+    monkeypatch.setattr(
+        dedup_proof,
+        "prove_block_class",
+        lambda *a, **k: dedup_proof.ProofResult(False, "refused by test"),
+    )
+
+
+def _run_engine(case):
+    """Pickled trace (minus its stats, which legitimately differ) and stats."""
+    trace = SimulationEngine(case.kernel, gmem=case.gmem).run(case.launch)
+    stats, trace.engine_stats = trace.engine_stats, None
+    return pickle.dumps(trace), stats
+
+
 class TestDifferentialProofVsProbe:
     @pytest.mark.parametrize("name", AFFINE_KERNELS + ("spmv",))
-    def test_traces_are_pickle_identical(self, name):
-        payloads = {}
-        for mode in ("proof", "probe", "both"):
-            case = analysis_case(name)
-            engine = SimulationEngine(
-                case.kernel, gmem=case.gmem, dedup_verify=mode
-            )
-            trace = engine.run(case.launch)
-            trace.engine_stats = None  # stats legitimately differ
-            payloads[mode] = pickle.dumps(trace)
-        assert payloads["proof"] == payloads["probe"] == payloads["both"]
+    def test_traces_are_pickle_identical(self, name, monkeypatch):
+        case = analysis_case(name)
+        proof, proof_stats = _run_engine(case)
+        _refuse_every_class(monkeypatch)
+        probe, probe_stats = _run_engine(case)
+        assert proof == probe
+        assert probe_stats.proved_classes == 0
+        assert probe_stats.health.proof_fallbacks == proof_stats.proved_classes
+
+
+class TestProofAudit:
+    @pytest.mark.parametrize("name", AFFINE_KERNELS)
+    def test_proved_class_verifiers_match_representative(self, name):
+        # The proof skips probes at run time; simulate them here and
+        # check that every certified class really is uniform.
+        case = analysis_case(name)
+        simulator = FunctionalSimulator(case.kernel, gmem=case.gmem)
+        classes = partition_blocks(case.launch, analyze_dependence(case.kernel))
+        audited = 0
+        for cls in classes:
+            if not cls.verifiers or not prove_block_class(
+                case.kernel, case.launch, cls.members, case.gmem
+            ).proved:
+                continue
+            blocks = [cls.representative, *cls.verifiers]
+            traces = simulator.run_blocks(case.launch, blocks)
+            keys = [trace.stats_key() for trace in traces]
+            assert keys[1:] == [keys[0]] * len(cls.verifiers), cls.members[0]
+            audited += 1
+        assert audited
 
 
 class TestProofProbeContradiction:
@@ -102,21 +138,6 @@ class TestProofProbeContradiction:
         b.exit()
         return b.build(), {"out": out}
 
-    def test_both_mode_raises_on_lying_prover(self, monkeypatch):
-        import repro.analysis.dedup_proof as dedup_proof
-
-        gmem = GlobalMemory()
-        kernel, params = self._parity_kernel(gmem)
-        launch = LaunchConfig(grid=(10, 1), block_threads=32, params=params)
-        monkeypatch.setattr(
-            dedup_proof,
-            "prove_block_class",
-            lambda *a, **k: dedup_proof.ProofResult(True, "lie"),
-        )
-        engine = SimulationEngine(kernel, gmem=gmem, dedup_verify="both")
-        with pytest.raises(AnalysisError, match="probe simulations disagree"):
-            engine.run(launch)
-
     def test_honest_prover_refuses_parity_kernel(self):
         gmem = GlobalMemory()
         kernel, params = self._parity_kernel(gmem)
@@ -134,13 +155,6 @@ class TestProofProbeContradiction:
         stats = engine.run(launch).engine_stats
         assert stats.proved_classes == 0
         assert stats.probe_fallbacks >= 1
-
-
-class TestEngineParameter:
-    def test_unknown_mode_rejected(self):
-        case = analysis_case("stencil")
-        with pytest.raises(ReproError, match="dedup_verify"):
-            SimulationEngine(case.kernel, dedup_verify="trust-me")
 
 
 class TestMemberOrderDeterminism:

@@ -83,7 +83,6 @@ class TestDependenceAnalysis:
         dep = analyze_dependence(build_matmul_kernel(128, 16))
         assert not dep.data_dependent
         assert not dep.block_in_control
-        assert dep.block_in_addresses  # tile bases shift with ctaid
 
     def test_cr_is_block_uniform(self):
         for padded in (False, True):
