@@ -1,7 +1,7 @@
 """Deterministic fault injection for the execution substrate.
 
-The fault-tolerance machinery (pool retries, cache quarantine, shared-
-memory fallbacks -- see DESIGN.md "Failure model") is only trustworthy
+The fault-tolerance machinery (pool retries, serial fallbacks, cache
+quarantine -- see DESIGN.md "Failure model") is only trustworthy
 if every degraded path is exercised on purpose, repeatably.  This module
 owns the injection points the substrate consults:
 
@@ -12,9 +12,7 @@ owns the injection points the substrate consults:
 * ``on_cache_read(data)`` -- corrupt the bytes of the Nth on-disk cache
   read (the quarantine path);
 * ``on_cache_write(path)`` -- raise ``OSError`` on the Nth cache write
-  (the fail-open store path);
-* ``on_shm_attach(name)`` -- fail the Nth shared-memory arena attach in
-  a worker (the pickle/serial fallback path).
+  (the fail-open store path).
 
 A :class:`FaultPlan` is *deterministic*: faults key off stable task
 indices and per-process call counters, never wall clock or PRNG state at
@@ -60,8 +58,8 @@ class FaultPlan:
     ``None`` disables an injection point.  Task-keyed faults
     (``crash_task``/``hang_task``/``interrupt_task``) fire on the pool
     task with that index; counter-keyed faults (``corrupt_read``/
-    ``fail_write``/``fail_shm_attach``) fire on the Nth call of the
-    corresponding hook in the current process (0-based).
+    ``fail_write``) fire on the Nth call of the corresponding hook in
+    the current process (0-based).
     """
 
     #: Crash (``os._exit``) the worker executing this pool-task index.
@@ -81,8 +79,6 @@ class FaultPlan:
     corrupt_read: int | None = None
     #: Raise ``OSError`` on the Nth on-disk cache write.
     fail_write: int | None = None
-    #: Raise on the Nth shared-memory arena attach.
-    fail_shm_attach: int | None = None
     #: Parameterizes the corruption mask (never read at decision time).
     seed: int = 0
 
@@ -102,7 +98,6 @@ _INT_FIELDS = frozenset(
         "interrupt_task",
         "corrupt_read",
         "fail_write",
-        "fail_shm_attach",
         "seed",
     )
 )
@@ -146,7 +141,7 @@ def parse_plan(text: str) -> FaultPlan:
 _PLAN: FaultPlan | None = None
 
 #: Per-process call counters for the counter-keyed injection points.
-_COUNTS = {"cache_read": 0, "cache_write": 0, "shm_attach": 0}
+_COUNTS = {"cache_read": 0, "cache_write": 0}
 
 
 def install(plan: FaultPlan | str | None) -> None:
@@ -264,15 +259,3 @@ def on_cache_write(path: str) -> None:
     if count == plan.fail_write:
         raise OSError(f"fault-injected cache write failure for {path}")
 
-
-def on_shm_attach(name: str) -> None:
-    """Possibly fail one shared-memory arena attach (fallback path)."""
-    plan = active_plan()
-    if plan is None or plan.fail_shm_attach is None:
-        return
-    count = _COUNTS["shm_attach"]
-    _COUNTS["shm_attach"] += 1
-    if count == plan.fail_shm_attach:
-        raise OSError(
-            f"fault-injected shared-memory attach failure for {name!r}"
-        )

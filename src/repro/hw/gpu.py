@@ -177,7 +177,6 @@ class HardwareGpu:
         resident_per_sm: int,
         use_cache: bool = False,
         wave_extrapolation: bool = True,
-        sim_clusters: list[int] | None = None,
         dedup: bool = True,
     ) -> MeasuredRun:
         """Time a launch of ``num_blocks`` blocks.
@@ -185,10 +184,13 @@ class HardwareGpu:
         ``traces`` supplies per-block warp streams; a single trace means
         a homogeneous grid, a list is cycled across block indices -- a
         full per-block table (one entry per block, as the engine's exact
-        trace tables provide) or a shorter representative sample.
-        ``dedup=False`` disables signature memoization and prefix
-        sharing and replays every chosen cluster alone (the pre-dedup
-        behaviour, kept for differential benchmarks).
+        trace tables provide) or a shorter representative sample.  The
+        clusters to simulate are chosen here, not by the caller: all of
+        them for uniform grids, exact tables and small launches, else
+        the first and last.  ``dedup=False`` disables signature
+        memoization and prefix sharing and replays every chosen cluster
+        alone (the pre-dedup behaviour, kept for differential
+        benchmarks).
         """
         from repro import obs
 
@@ -210,7 +212,6 @@ class HardwareGpu:
                 resident_per_sm,
                 use_cache,
                 wave_extrapolation,
-                sim_clusters,
                 dedup,
             )
         if obs.enabled():
@@ -229,7 +230,6 @@ class HardwareGpu:
         resident_per_sm: int,
         use_cache: bool,
         wave_extrapolation: bool,
-        sim_clusters: list[int] | None,
         dedup: bool,
     ) -> MeasuredRun:
         works = [t.warp_streams for t in traces]
@@ -244,7 +244,7 @@ class HardwareGpu:
         cache_quarantines = self.cache.quarantines if self.cache else 0
         cache_write_errors = self.cache.write_errors if self.cache else 0
         key = None
-        if self.cache is not None and sim_clusters is None:
+        if self.cache is not None:
             key = self._measure_key(
                 class_digests,
                 class_ids,
@@ -271,7 +271,6 @@ class HardwareGpu:
                 num_blocks,
                 resident_per_sm,
                 use_cache,
-                sim_clusters,
                 dedup,
                 pool_health,
             )
@@ -417,7 +416,6 @@ class HardwareGpu:
         num_blocks: int,
         resident_per_sm: int,
         use_cache: bool,
-        sim_clusters: list[int] | None,
         dedup: bool,
         health: PoolHealth | None = None,
     ) -> MeasuredRun:
@@ -426,17 +424,14 @@ class HardwareGpu:
         uniform = len(set(class_ids)) == 1
         exact_table = len(works) == num_blocks
 
-        chosen = sim_clusters
-        if chosen is None:
-            if uniform or exact_table or num_blocks <= 30 * num_clusters:
-                # Exact per-block tables always time every cluster: with
-                # dedup and the pool, the full sweep is affordable.
-                chosen = list(range(num_clusters))
-            else:
-                # Cycled samples make clusters statistically identical;
-                # the extremes of the block distribution bound the time.
-                chosen = [0, num_clusters - 1]
-        chosen = sorted(set(chosen))
+        if uniform or exact_table or num_blocks <= 30 * num_clusters:
+            # Exact per-block tables always time every cluster: with
+            # dedup and the pool, the full sweep is affordable.
+            chosen = list(range(num_clusters))
+        else:
+            # Cycled samples make clusters statistically identical;
+            # the extremes of the block distribution bound the time.
+            chosen = sorted({0, num_clusters - 1})
 
         jobs: list[tuple] = []
         job_of_signature: dict[tuple, int] = {}

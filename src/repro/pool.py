@@ -22,20 +22,18 @@ fault-tolerance layer -- failure semantics cannot drift apart:
   through ``serial_fn`` -- the bit-identity reference -- so a degraded
   run returns *exactly* the healthy result.  What degraded is reported
   in a :class:`PoolHealth` record, never swallowed.
-* **no leaked segments.**  Shared-memory segments registered through
-  :func:`track_segment` are unlinked on ``KeyboardInterrupt`` and at
-  interpreter exit, so an interrupted run cannot strand ``/dev/shm``
-  entries.
+* **one transport.**  Per-pool state (e.g. the engine's pre-launch
+  global-memory arena) travels in ``initargs``: fork workers inherit
+  it, spawn workers unpickle it once each.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 import sys
 import time
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 #: Environment variable supplying a default per-task timeout (seconds)
 #: for pooled tasks; unset or non-positive disables the watchdog.
@@ -104,7 +102,7 @@ class PoolHealth:
         """Freeze these counters into a :class:`HealthRecord`.
 
         ``extra`` supplies the layer-specific counters the pool cannot
-        know (cache quarantines, shm fallbacks, analysis fallbacks).
+        know (cache quarantines, analysis fallbacks).
         """
         return HealthRecord(
             pool_retries=self.retried,
@@ -139,9 +137,6 @@ class HealthRecord:
     cache_quarantines: int = 0
     #: Cache stores that failed open (fsync/write/replace errors).
     cache_write_errors: int = 0
-    #: Pool tasks that fell back while a shared-memory arena was the
-    #: transport (attach failures degrade to pickled/serial execution).
-    shm_fallbacks: int = 0
     #: Multi-member dedup classes the static proof refused (probed).
     proof_fallbacks: int = 0
 
@@ -156,7 +151,6 @@ class HealthRecord:
             or self.pool_rebuilds
             or self.cache_quarantines
             or self.cache_write_errors
-            or self.shm_fallbacks
         )
 
     def as_dict(self) -> dict:
@@ -175,46 +169,6 @@ class HealthRecord:
                 name = f.name.replace("pool_retries", "retries")
                 parts.append(f"{name}={value}")
         return " ".join(parts) if parts else "ok"
-
-
-# ----------------------------------------------------------------------
-# shared-memory segment tracking
-# ----------------------------------------------------------------------
-_TRACKED_SEGMENTS: dict[int, object] = {}
-
-
-def track_segment(segment) -> None:
-    """Register a ``SharedMemory`` segment for guaranteed cleanup.
-
-    Tracked segments are unlinked when a pooled run is interrupted
-    (``KeyboardInterrupt``) and, as a last resort, at interpreter exit
-    -- an aborted sweep must never strand ``/dev/shm`` entries.
-    """
-    _TRACKED_SEGMENTS[id(segment)] = segment
-
-
-def release_segment(segment) -> None:
-    """Close and unlink a tracked segment (idempotent, best-effort)."""
-    _TRACKED_SEGMENTS.pop(id(segment), None)
-    try:
-        segment.close()
-    except Exception:
-        pass
-    try:
-        segment.unlink()
-    except FileNotFoundError:
-        pass
-    except Exception:
-        pass
-
-
-def cleanup_segments() -> None:
-    """Release every tracked segment (interrupt/exit safety net)."""
-    for segment in list(_TRACKED_SEGMENTS.values()):
-        release_segment(segment)
-
-
-atexit.register(cleanup_segments)
 
 
 # ----------------------------------------------------------------------
@@ -335,12 +289,10 @@ def map_tasks(
       one task's result, which overlaps other tasks' execution -- size
       it generously.
     * A task that raises an ordinary exception in a worker is re-run
-      through ``serial_fn``: either the failure was environmental
-      (e.g. a shared-memory attach failure) and the serial reference
-      recovers it bit-identically, or it is genuine and ``serial_fn``
-      raises the true error to the caller.
-    * ``KeyboardInterrupt`` kills the pool and unlinks every tracked
-      shared-memory segment (:func:`track_segment`) before re-raising.
+      through ``serial_fn``: either the failure was environmental and
+      the serial reference recovers it bit-identically, or it is
+      genuine and ``serial_fn`` raises the true error to the caller.
+    * ``KeyboardInterrupt`` kills the pool before re-raising.
 
     Because every degraded path re-executes through ``serial_fn``, the
     returned list is exactly the healthy result regardless of faults.
@@ -527,7 +479,6 @@ def map_tasks(
         if executor is not None:
             _stop_executor(executor, kill=True)
             executor = None
-        cleanup_segments()
         raise
     finally:
         if executor is not None:

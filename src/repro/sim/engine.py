@@ -29,7 +29,9 @@ pattern -- so the engine exploits that structure instead of brute force:
    on mismatch the class is demoted and every member is simulated
    individually.
 3. **Parallel fan-out.**  Blocks that do need simulating are distributed
-   over a ``multiprocessing`` pool (``workers`` > 1).  Workers only
+   over a ``multiprocessing`` pool (``workers`` > 1).  Each worker gets
+   the pre-launch global-memory arena through the pool initializer
+   (fork inherits it, spawn pickles it).  Workers only
    produce statistics; global-memory *writes* stay in the worker, so the
    engine is a statistics pipeline -- numerical validation should use
    :class:`FunctionalSimulator` directly.
@@ -48,17 +50,11 @@ import warnings
 from dataclasses import dataclass, replace
 
 from repro.arch.specs import GpuSpec, GTX285
-from repro.errors import LaunchError, ReproError
+from repro.errors import LaunchError
 from repro.isa.instructions import MemRef, Pred, Reg, Special
 from repro.isa.opcodes import OpKind
 from repro.isa.program import Kernel
-from repro.pool import (
-    HealthRecord,
-    PoolHealth,
-    map_tasks,
-    release_segment,
-    start_method,
-)
+from repro.pool import HealthRecord, PoolHealth, map_tasks
 from repro.sim.functional import FunctionalSimulator, LaunchConfig
 from repro.sim.memory import GlobalMemory
 from repro.util import VersionedPickleCache, spec_fingerprint
@@ -378,7 +374,7 @@ class EngineStats:
     #: of ``block_classes``).
     interpreted_classes: int = 0
     #: Degradation record for this run: pool retries/timeouts/serial
-    #: fallbacks, cache quarantines, shm fallbacks, analysis fallbacks.
+    #: fallbacks, cache quarantines, analysis fallbacks.
     #: All-zero on a healthy run.
     health: HealthRecord = HealthRecord()
 
@@ -523,35 +519,16 @@ def find_cross_block_raw(
 # ----------------------------------------------------------------------
 _WORKER_STATE: tuple[FunctionalSimulator, LaunchConfig] | None = None
 
-#: Sentinel first element of _WORKER_STATE when the shared-memory arena
-#: attach failed in the initializer: tasks then raise an ordinary
-#: exception instead of killing the worker, and the pool layer degrades
-#: them to the serial (pickle-free) reference instead of aborting.
-_ATTACH_FAILED = "shm-attach-failed"
-
 
 def _init_worker(
-    kernel, gmem, spec, max_warp_instructions, launch, batched,
-    grid_batch_blocks,
+    kernel, gmem, spec, max_warp_instructions, launch, grid_batch_blocks
 ) -> None:
     global _WORKER_STATE
-    if isinstance(gmem, dict):
-        # Shared-memory arena descriptor (see GlobalMemory.share):
-        # attach, copy into private worker memory, verify the digest.
-        # An attach failure must not crash the initializer (that breaks
-        # the whole pool); it is deferred to the tasks as an ordinary,
-        # serially recoverable error.
-        try:
-            gmem = GlobalMemory.from_shared(gmem)
-        except Exception as exc:
-            _WORKER_STATE = (_ATTACH_FAILED, repr(exc))
-            return
     simulator = FunctionalSimulator(
         kernel,
         gmem=gmem,
         spec=spec,
         max_warp_instructions=max_warp_instructions,
-        batched=batched,
         grid_batch_blocks=grid_batch_blocks,
     )
     _WORKER_STATE = (simulator, launch)
@@ -559,11 +536,6 @@ def _init_worker(
 
 def _run_chunk_task(chunk: list[tuple[int, int]]) -> list[BlockTrace]:
     simulator, launch = _WORKER_STATE
-    if simulator == _ATTACH_FAILED:
-        raise ReproError(
-            f"worker could not attach the shared global-memory arena "
-            f"({launch}); falling back to serial execution"
-        )
     return simulator.run_blocks(launch, chunk)
 
 
@@ -584,10 +556,6 @@ class SimulationEngine:
     cache_dir:
         Directory for the on-disk :class:`KernelTrace` memo cache;
         ``None`` disables memoization.
-    batched:
-        Use the block-wide batched interpreter (default).  ``False``
-        selects the per-warp reference oracle -- bit-identical traces,
-        kept for differential benchmarks and tests.
     grid_batch_blocks:
         Blocks per multi-block interpreter slab (and per worker chunk).
         ``None`` defers to :func:`repro.tune.resolve` per launch:
@@ -615,7 +583,6 @@ class SimulationEngine:
         workers: int = 0,
         cache_dir: str | os.PathLike | None = None,
         max_warp_instructions: int = 50_000_000,
-        batched: bool = True,
         grid_batch_blocks: int | None = None,
         task_timeout: float | None = None,
         faults=None,
@@ -625,13 +592,11 @@ class SimulationEngine:
         self.spec = spec
         self.workers = max(0, int(workers))
         self.max_warp_instructions = max_warp_instructions
-        self.batched = batched
         self.simulator = FunctionalSimulator(
             kernel,
             gmem=self.gmem,
             spec=spec,
             max_warp_instructions=max_warp_instructions,
-            batched=batched,
             grid_batch_blocks=grid_batch_blocks,
         )
         self.dependence = analyze_dependence(kernel)
@@ -642,7 +607,6 @@ class SimulationEngine:
         self.faults_plan = parse_plan(faults) if isinstance(faults, str) else faults
         # Per-run degradation accumulators, reset at the top of run().
         self._pool_health = PoolHealth()
-        self._shm_fallbacks = 0
         self._proof_fallbacks = 0
 
     # ------------------------------------------------------------------
@@ -713,7 +677,6 @@ class SimulationEngine:
     ) -> KernelTrace:
         started = time.perf_counter()
         self._pool_health = PoolHealth()
-        self._shm_fallbacks = 0
         self._proof_fallbacks = 0
         cache_quarantines = self.cache.quarantines if self.cache else 0
         cache_write_errors = self.cache.write_errors if self.cache else 0
@@ -767,7 +730,6 @@ class SimulationEngine:
                     if self.cache
                     else 0
                 ),
-                shm_fallbacks=self._shm_fallbacks,
                 proof_fallbacks=self._proof_fallbacks,
             ),
         )
@@ -962,57 +924,26 @@ class SimulationEngine:
             return self.simulator.run_blocks(launch, blocks)
         step = max(1, int(self.simulator.grid_batch_blocks_for(launch)))
         chunks = [blocks[i : i + step] for i in range(0, len(blocks), step)]
-        # Ship the arena through multiprocessing.shared_memory instead
-        # of re-pickling it per fan-out; workers copy it into private
-        # memory and verify the pre-launch content digest.  Fork pools
-        # inherit the parent's arena copy-on-write, so only spawn-style
-        # pools (which would otherwise pickle it per worker) use the
-        # segment; platforms without shared memory fall back to
-        # pickling the arena.
-        shared = (
-            self.gmem.share()
-            if len(chunks) > 1 and start_method() != "fork"
-            else None
+        # Workers get the pre-launch arena through initargs: fork pools
+        # inherit it copy-on-write, spawn pools pickle it once per
+        # worker.  Either way each worker writes to a private copy.
+        results = map_tasks(
+            chunks,
+            self.workers,
+            serial_fn=lambda chunk: self.simulator.run_blocks(launch, chunk),
+            worker_fn=_run_chunk_task,
+            initializer=_init_worker,
+            initargs=(
+                self.kernel,
+                self.gmem,
+                self.spec,
+                self.max_warp_instructions,
+                launch,
+                step,
+            ),
+            task_timeout=self.task_timeout,
+            health=self._pool_health,
         )
-        if shared is not None:
-            gmem_arg, segment = shared
-        else:
-            gmem_arg, segment = self.gmem, None
-        health = self._pool_health
-        fallbacks_before = health.serial_fallbacks
-        try:
-            results = map_tasks(
-                chunks,
-                self.workers,
-                serial_fn=lambda chunk: self.simulator.run_blocks(
-                    launch, chunk
-                ),
-                worker_fn=_run_chunk_task,
-                initializer=_init_worker,
-                initargs=(
-                    self.kernel,
-                    gmem_arg,
-                    self.spec,
-                    self.max_warp_instructions,
-                    launch,
-                    self.batched,
-                    step,
-                ),
-                task_timeout=self.task_timeout,
-                health=health,
-            )
-        finally:
-            if segment is not None:
-                # Tracked at creation (GlobalMemory.share); releasing is
-                # idempotent, so the interrupt/atexit safety nets and
-                # this finally can both fire.
-                release_segment(segment)
-        if segment is not None:
-            # Tasks that degraded to the serial reference while the
-            # shared arena was the transport: attach failures and any
-            # other worker loss end up here, executed against the
-            # caller's own arena -- bit-identical, pickle-free.
-            self._shm_fallbacks += health.serial_fallbacks - fallbacks_before
         # Unpickled worker results carry per-chunk copies of strings the
         # in-process interpreter shares grid-wide; re-interning keeps a
         # pooled (or partially serial-recovered) run's aggregate
@@ -1091,18 +1022,7 @@ class SimulationEngine:
         # share its copy); never share entries across widths, and fold
         # the serial cases (workers 0 and 1 run identically in-process).
         h.update(f"workers={self.workers if self.workers > 1 else 0}".encode())
-        if self.batched:
-            # Slab width likewise shapes cross-block visibility for
-            # racy kernels (blocks sharing a slab interleave lockstep);
-            # the per-warp oracle never forms slabs, so its keys stay
-            # width-independent.
-            h.update(
-                f"gbb={self.simulator.grid_batch_blocks_for(launch)};".encode()
-            )
-        if not self.batched:
-            # Batched and per-warp traces are bit-identical for
-            # well-synchronized kernels; the oracle is keyed separately
-            # so differential benchmarks never serve each other's
-            # entries for racy ones.
-            h.update(b"interp=warp;")
+        # Slab width likewise shapes cross-block visibility for racy
+        # kernels (blocks sharing a slab interleave lockstep).
+        h.update(f"gbb={self.simulator.grid_batch_blocks_for(launch)};".encode())
         return h.hexdigest()

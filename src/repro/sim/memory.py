@@ -120,111 +120,6 @@ class GlobalMemory:
                 return allocation
         return None
 
-    # ------------------------------------------------------------------
-    # zero-copy export to pool workers
-    # ------------------------------------------------------------------
-    def share(self):
-        """Export the arena through ``multiprocessing.shared_memory``.
-
-        Returns ``(descriptor, segment)`` -- a picklable descriptor for
-        worker processes plus the owning ``SharedMemory`` segment the
-        caller must ``close()``/``unlink()`` after the pool is done --
-        or ``None`` when the platform offers no shared memory (import
-        or allocation failure), in which case callers fall back to
-        pickling the arena itself.  The descriptor carries the arena's
-        content digest so workers can assert they attached to the
-        unchanged pre-launch contents.
-        """
-        try:
-            from multiprocessing import shared_memory
-        except ImportError:  # pragma: no cover - always present on CPython
-            return None
-        words = self._top // 4
-        try:
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(words * 8, 8)
-            )
-        except OSError:  # pragma: no cover - e.g. unwritable /dev/shm
-            return None
-        # Guaranteed cleanup: the owner should release_segment() in a
-        # finally block, but tracking means an interrupted or crashed
-        # run still unlinks the segment (KeyboardInterrupt handler in
-        # repro.pool, atexit as the last resort).
-        from repro.pool import track_segment
-
-        track_segment(segment)
-        buffer = np.ndarray(words, dtype=np.float64, buffer=segment.buf)
-        np.copyto(buffer, self._data[:words])
-        descriptor = {
-            "shm_name": segment.name,
-            "words": words,
-            "top": self._top,
-            "allocations": [
-                (a.name, a.base, a.size) for a in self._allocations
-            ],
-            "cacheable": sorted(self._cacheable),
-            "digest": self.digest(),
-        }
-        return descriptor, segment
-
-    @classmethod
-    def from_shared(cls, descriptor: dict) -> "GlobalMemory":
-        """Rebuild an arena from a :meth:`share` descriptor.
-
-        The worker copies the segment into *private* memory (its kernel
-        stores must stay invisible to other workers, exactly like the
-        pickling path) and then detaches.  The copy is verified against
-        the descriptor's content digest: workers are guaranteed to see
-        the pre-launch contents unchanged.
-
-        An attach failure (segment vanished, /dev/shm pressure, digest
-        mismatch, injected fault) raises; the pool layer treats that as
-        an environmental task failure and re-executes the task through
-        the serial reference instead of aborting the run.
-        """
-        from multiprocessing import resource_tracker, shared_memory
-
-        from repro import faults
-
-        faults.on_shm_attach(descriptor["shm_name"])
-
-        # CPython < 3.13 registers even plain *attaches* with the
-        # resource tracker, which double-counts the owner's segment and
-        # races concurrent workers' unregisters.  Suppress registration
-        # for the duration of the attach; the owner alone tracks and
-        # unlinks the segment.
-        original_register = resource_tracker.register
-
-        def _no_shm_register(name, rtype):  # pragma: no cover - trivial
-            if rtype != "shared_memory":
-                original_register(name, rtype)
-
-        resource_tracker.register = _no_shm_register
-        try:
-            segment = shared_memory.SharedMemory(name=descriptor["shm_name"])
-        finally:
-            resource_tracker.register = original_register
-        try:
-            words = descriptor["words"]
-            gmem = cls(capacity_words=max(words, 1))
-            gmem._data[:words] = np.ndarray(
-                words, dtype=np.float64, buffer=segment.buf
-            )
-        finally:
-            segment.close()
-        gmem._top = descriptor["top"]
-        gmem._allocations = [
-            Allocation(name, base, size)
-            for name, base, size in descriptor["allocations"]
-        ]
-        gmem._cacheable = set(descriptor["cacheable"])
-        if gmem.digest() != descriptor["digest"]:
-            raise MemoryAccessError(
-                "shared global-memory arena changed between launch and "
-                "worker attach (content digest mismatch)"
-            )
-        return gmem
-
     def _word_indices(self, addresses: np.ndarray) -> np.ndarray:
         addresses = np.asarray(addresses, dtype=np.int64)
         if addresses.size == 0:

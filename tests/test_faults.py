@@ -1,10 +1,9 @@
 """Failure matrix for the fault-tolerant execution substrate.
 
 Every degraded path (worker crash, hung task, corrupt cache entry,
-failed cache write, shared-memory attach failure, interrupt) must
-return results pickle-byte-identical to a healthy serial run, with the
-degradation visible in the health counters -- never a changed result,
-never a silent recovery.  Faults are injected deterministically through
+failed cache write, interrupt) must return results pickle-byte-
+identical to a healthy serial run, with the degradation visible in the
+health counters -- never a changed result, never a silent recovery.  Faults are injected deterministically through
 :mod:`repro.faults`.
 """
 
@@ -17,7 +16,6 @@ from dataclasses import replace
 
 import pytest
 
-import repro.sim.engine as engine_mod
 from repro import faults
 from repro.apps import spmv as spmv_app
 from repro.apps.common import kernel_resources
@@ -30,7 +28,6 @@ from repro.pool import (
     PoolHealth,
     default_task_timeout,
     map_tasks,
-    track_segment,
 )
 from repro.sim.engine import SimulationEngine
 from repro.util import VersionedPickleCache, atomic_write_bytes
@@ -75,6 +72,8 @@ class TestFaultPlan:
     def test_unknown_key_raises(self):
         with pytest.raises(FaultPlanError):
             parse_plan("crash_tsak=1")
+        with pytest.raises(FaultPlanError):
+            parse_plan("fail_shm_attach=0")
 
     def test_non_number_value_raises(self):
         with pytest.raises(FaultPlanError):
@@ -184,32 +183,25 @@ class TestPoolSelfHealing:
                 list(range(5)), 2, _serial_raise_on_three, _raise_on_three
             )
 
-    def test_interrupt_unlinks_tracked_segments(self):
-        from multiprocessing import shared_memory
+    def test_interrupt_kills_pool_and_reraises(self, monkeypatch):
+        import repro.pool
 
-        segment = shared_memory.SharedMemory(create=True, size=64)
-        name = segment.name
-        track_segment(segment)
-        assert os.path.exists(f"/dev/shm/{name}")
+        stopped = []
+        real_stop = repro.pool._stop_executor
+
+        def spy(executor, kill):
+            stopped.append(kill)
+            real_stop(executor, kill)
+
+        monkeypatch.setattr(repro.pool, "_stop_executor", spy)
         health = PoolHealth()
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                with faults.injected(interrupt_task=0):
-                    map_tasks(
-                        list(range(4)),
-                        2,
-                        _times_ten,
-                        _times_ten,
-                        health=health,
-                    )
-            assert health.interrupts == 1
-            assert not os.path.exists(f"/dev/shm/{name}")
-        finally:
-            try:
-                segment.close()
-                segment.unlink()
-            except Exception:
-                pass
+        with pytest.raises(KeyboardInterrupt):
+            with faults.injected(interrupt_task=0):
+                map_tasks(
+                    list(range(4)), 2, _times_ten, _times_ten, health=health
+                )
+        assert health.interrupts == 1
+        assert stopped == [True]
 
 
 # ----------------------------------------------------------------------
@@ -404,26 +396,6 @@ class TestEngineFailureMatrix:
         )
         assert _normalized(trace) == _normalized(healthy)
         assert trace.engine_stats.health.cache_write_errors == 1
-
-    def test_shm_attach_failure_degrades_to_serial(
-        self, monkeypatch, spmv_lattice, spmv_kernel, spmv_healthy
-    ):
-        healthy, _ = spmv_healthy
-        # Force the spawn-style decision so the arena ships through
-        # shared memory (fork pools inherit it copy-on-write and never
-        # attach); the pool itself still forks, which is what lets the
-        # fork children see the installed plan's attach counter.
-        monkeypatch.setattr(engine_mod, "start_method", lambda: "spawn")
-        trace, _ = _spmv_run(
-            spmv_lattice,
-            spmv_kernel,
-            workers=2,
-            plan=FaultPlan(fail_shm_attach=0),
-        )
-        assert _normalized(trace) == _normalized(healthy)
-        health = trace.engine_stats.health
-        assert health.shm_fallbacks >= 1
-        assert health.serial_fallbacks >= 1
 
     def test_healthy_pooled_run_reports_clean_health(
         self, spmv_lattice, spmv_kernel, spmv_healthy

@@ -225,11 +225,6 @@ class TestMeasuredRunCache:
         assert second.extrapolated and second.from_cache
         assert second.cycles == first.cycles
 
-    def test_sim_clusters_subsets_bypass_the_cache(self, tmp_path):
-        gpu = HardwareGpu(cache_dir=str(tmp_path))
-        gpu.measure(load_block(30), 40, 4, sim_clusters=[0])
-        assert not list(tmp_path.iterdir())
-
     @pytest.mark.parametrize(
         "junk",
         [
