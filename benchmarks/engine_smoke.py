@@ -383,8 +383,8 @@ def run_chaos() -> dict:
             cache_dir=cache,
             faults=plan,
             task_timeout=timeout,
+            grid_batch_blocks=2,
         )
-        engine.simulator.grid_batch_blocks = 2
         return engine.run(problem.launch())
 
     def normalized(trace):

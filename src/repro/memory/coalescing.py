@@ -249,7 +249,6 @@ def coalesce_warp_multi(
     access_bytes: int,
     configs: Sequence[TransactionConfig],
     want_segments_at: int | None = None,
-    totals_only: Sequence[int] = (),
     aligned: bool = False,
 ) -> list[tuple]:
     """Evaluate several coalescing configs over one ``(W, 32)`` batch.
@@ -260,14 +259,10 @@ def coalesce_warp_multi(
     that config, and the totals are their sums.  ``want_segments_at``
     selects the single config whose ordered per-warp ``(address, size)``
     transaction lists are materialized (the functional simulator's
-    primary granularity).  Config indices in ``totals_only`` skip the
-    per-warp reduction and return ``None`` arrays with exact totals --
-    the simulator's non-primary granularities only feed aggregate
-    counters, so their per-warp histograms would be dead work.
-    ``active=None`` means every lane is active; ``aligned=True``
-    promises every active address is a multiple of ``access_bytes``
-    (the simulator validates this on the memory access itself),
-    skipping the alignment scan and the scalar fallback.
+    primary granularity).  ``active=None`` means every lane is active;
+    ``aligned=True`` promises every active address is a multiple of
+    ``access_bytes`` (the simulator validates this on the memory access
+    itself), skipping the alignment scan and the scalar fallback.
 
     The CUDA 1.2/1.3 greedy protocol vectorizes because, for accesses
     aligned to their width, the transaction serving the lowest unserved
@@ -401,25 +396,6 @@ def coalesce_warp_multi(
             )
             continue
         floor = max(config.min_segment, access_bytes)
-        if (
-            start_size == access_bytes
-            and floor == access_bytes
-            and index in totals_only
-            and want_segments_at != index
-        ):
-            # Ideal granularity, totals only: the transaction count is
-            # the number of distinct (group, word) pairs -- countable
-            # straight off the shared sorted order.
-            if start_size not in partitions:
-                distinct = group_edge.copy()
-                distinct[1:] |= a_sorted[1:] != a_sorted[:-1]
-                total_txns = int(np.count_nonzero(distinct))
-            else:
-                total_txns = len(partitions[start_size][0])
-            results.append(
-                (None, None, total_txns, total_txns * access_bytes, None)
-            )
-            continue
         starts, warp_of_txn, lo, cover = partition(start_size)
         total_txns = len(starts)
         if cover is None and floor == access_bytes:
@@ -432,9 +408,6 @@ def coalesce_warp_multi(
                 else np.full(total_txns, floor, dtype=np.int64)
             )
             total_bytes = int(size.sum())
-        if index in totals_only and want_segments_at != index:
-            results.append((None, None, total_txns, total_bytes, None))
-            continue
         counts = np.bincount(warp_of_txn, minlength=num_warps)
         if size is None:
             nbytes = counts * access_bytes

@@ -557,10 +557,11 @@ class SimulationEngine:
         Directory for the on-disk :class:`KernelTrace` memo cache;
         ``None`` disables memoization.
     grid_batch_blocks:
-        Blocks per multi-block interpreter slab (and per worker chunk).
-        ``None`` defers to :func:`repro.tune.resolve` per launch:
-        ``$REPRO_TUNE_GRID_BATCH_BLOCKS`` /
-        ``$REPRO_GRID_BATCH_BLOCKS``, then the machine's persisted
+        Blocks per interpreter slab (and per worker chunk), passed to
+        the :class:`FunctionalSimulator` kwarg of the same name -- the
+        only way to set the width explicitly.  ``None`` defers to
+        :func:`repro.tune.resolve` per launch:
+        ``$REPRO_TUNE_GRID_BATCH_BLOCKS``, then the machine's persisted
         tuning profile keyed by the launch's warps-per-block, then the
         built-in default.
     task_timeout:

@@ -22,13 +22,13 @@ Two interpreters implement that model:
 
 * the **block-wide batched interpreter** (default): each step, all
   non-exited, non-barrier warps whose min-PC lands on the same
-  instruction execute it *once* over a ``(k_warps, 32)`` slab of the
-  block's register file, with vectorized coalescing and bank analysis
-  (:func:`repro.memory.coalescing.coalesce_warp_batch`,
+  instruction execute it *once* over the stacked ``(warps, 32)``
+  register slab of a batch of blocks, with vectorized coalescing and
+  bank analysis (:func:`repro.memory.coalescing.coalesce_warp_multi`,
   :func:`repro.memory.banks.warp_transactions_batch`).  Convergent
   kernels collapse to one NumPy dispatch per dynamic instruction;
   divergent warps simply form smaller PC-groups, so min-PC semantics
-  are unchanged;
+  are unchanged.  A single block is simply a one-block slab;
 * the original **per-warp interpreter** (``batched=False``), kept as
   the reference oracle: differential tests assert the two produce
   bit-identical :class:`BlockTrace`\\ s.
@@ -86,11 +86,6 @@ from repro.sim.trace import (
 # Instructions that count as "actual computation" for the paper's
 # computational-density metric.  Integer MADs are address bookkeeping.
 _MAD_OPS = (Opcode.FMAD, Opcode.DFMA)
-
-#: Environment override for :attr:`FunctionalSimulator.grid_batch_blocks`
-#: (historical alias; resolution -- kwarg > env > tuning profile >
-#: built-in default -- lives in :func:`repro.tune.resolve`).
-GRID_BATCH_BLOCKS_ENV = "REPRO_GRID_BATCH_BLOCKS"
 
 
 @dataclass(frozen=True)
@@ -298,84 +293,32 @@ def _widen_to(spans: list[tuple[int, int]], cap: int) -> None:
         spans[i : i + 2] = [(spans[i][0], spans[i + 1][1])]
 
 
-class _BlockRun:
-    """All mutable state of one block's execution.
+class _BlockSlot:
+    """One block's statistics and the :class:`BlockTrace` built from them.
 
-    Bundling the register file, shared memory, stage accumulators and
-    launch context into one object makes :meth:`FunctionalSimulator
-    .run_block` reentrant: concurrent, nested or interleaved block runs
-    on the same simulator instance cannot corrupt each other, which the
-    deduplicating engine and its process pool rely on.
+    A slot holds the block's stage accumulators, the warps active in
+    the current stage and its per-allocation global footprints.  The
+    batched interpreter keeps one slot per block of a slab (see
+    :class:`_GridRun`); the per-warp oracle's :class:`_BlockRun` is a
+    slot too, so both interpreters build traces the same way.
     """
 
     __slots__ = (
-        "R",
-        "P",
-        "smem",
-        "launch",
         "block",
-        "specials",
         "stages",
         "stage",
         "stage_warps",
-        "warps",
         "load_ranges",
         "store_ranges",
     )
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        launch: LaunchConfig,
-        block: tuple[int, int],
-    ) -> None:
-        bx, by = block
-        gx, gy = launch.grid
-        threads = launch.block_threads
-        num_warps = launch.warps_per_block
-        padded = num_warps * WARP_SIZE
-
-        self.R = np.zeros((padded, max(kernel.num_registers, 1)), dtype=np.float64)
-        self.P = np.zeros((padded, max(kernel.num_predicates, 1)), dtype=bool)
-        for name in kernel.params:
-            if name not in launch.params:
-                raise LaunchError(f"missing launch parameter {name!r}")
-            self.R[:, kernel.param_regs[name]] = float(launch.params[name])
-        self.smem = SharedMemory(kernel.shared_memory_words)
-        self.launch = launch
-        self.block = (bx, by)
-        self.specials = {
-            "ntid": float(threads),
-            "ctaid_x": float(bx),
-            "ctaid_y": float(by),
-            "nctaid_x": float(gx),
-            "nctaid_y": float(gy),
-        }
-        lane_ids = np.arange(WARP_SIZE, dtype=np.int64)
-        self.warps = []
-        for w in range(num_warps):
-            alive = (w * WARP_SIZE + lane_ids) < threads
-            self.warps.append(
-                _WarpState(w, alive, kernel.num_registers, kernel.num_predicates)
-            )
+    def __init__(self, block: tuple[int, int]) -> None:
+        self.block = block
         self.stages = [StageStats()]
         self.stage = self.stages[0]
         self.stage_warps: set[int] = set()
         self.load_ranges: dict[str, _IntervalList] = {}
         self.store_ranges: dict[str, _IntervalList] = {}
-
-    #: Single blocks use their own SharedMemory directly (no arena
-    #: translation); the multi-block _GridRun overrides this.
-    smem_offsets = None
-
-    def slots(self) -> list:
-        return [self]
-
-    def streams(self) -> list[list]:
-        return [warp.stream for warp in self.warps]
-
-    def exited_rows(self) -> np.ndarray:
-        return np.stack([warp.exited for warp in self.warps])
 
     def next_stage(self) -> None:
         self.stage.active_warps = len(self.stage_warps)
@@ -398,11 +341,11 @@ class _BlockRun:
             intervals = ranges[array] = _IntervalList()
         intervals.add(lo, hi)
 
-    def finish(self) -> BlockTrace:
+    def finish(self, streams: list[list]) -> BlockTrace:
+        """The block's trace, given its warps' event streams."""
         self.stage.active_warps = len(self.stage_warps)
         for stage in self.stages:
             stage.canonicalize_order()
-        streams = [warp.stream for warp in self.warps]
         return BlockTrace(
             block=self.block,
             stages=self.stages,
@@ -420,47 +363,71 @@ class _BlockRun:
         )
 
 
-class _BlockSlot:
-    """Per-block bookkeeping inside a multi-block batched run.
+class _BlockRun(_BlockSlot):
+    """All mutable state of one block's run on the per-warp oracle.
 
-    The interpreter's statistics hooks see the same attribute surface
-    as :class:`_BlockRun` (stage, stage_warps, footprint intervals,
-    per-block stage advance), so single-block and grid runs share one
-    accounting code path.
+    Bundling the register file, shared memory, per-warp state and
+    launch context with the block's statistics makes the oracle's
+    :meth:`FunctionalSimulator.run_block` reentrant: concurrent, nested
+    or interleaved block runs on the same simulator instance cannot
+    corrupt each other.
     """
 
-    __slots__ = (
-        "block",
-        "stages",
-        "stage",
-        "stage_warps",
-        "load_ranges",
-        "store_ranges",
-    )
+    __slots__ = ("R", "P", "smem", "launch", "specials", "warps")
 
-    track_global = _BlockRun.track_global
-    next_stage = _BlockRun.next_stage
+    def __init__(
+        self,
+        kernel: Kernel,
+        launch: LaunchConfig,
+        block: tuple[int, int],
+    ) -> None:
+        super().__init__(block)
+        bx, by = block
+        gx, gy = launch.grid
+        threads = launch.block_threads
+        num_warps = launch.warps_per_block
+        padded = num_warps * WARP_SIZE
 
-    def __init__(self, block: tuple[int, int]) -> None:
-        self.block = block
-        self.stages = [StageStats()]
-        self.stage = self.stages[0]
-        self.stage_warps: set[int] = set()
-        self.load_ranges: dict[str, _IntervalList] = {}
-        self.store_ranges: dict[str, _IntervalList] = {}
+        self.R = np.zeros((padded, max(kernel.num_registers, 1)), dtype=np.float64)
+        self.P = np.zeros((padded, max(kernel.num_predicates, 1)), dtype=bool)
+        for name in kernel.params:
+            if name not in launch.params:
+                raise LaunchError(f"missing launch parameter {name!r}")
+            self.R[:, kernel.param_regs[name]] = float(launch.params[name])
+        self.smem = SharedMemory(kernel.shared_memory_words)
+        self.launch = launch
+        self.specials = {
+            "ntid": float(threads),
+            "ctaid_x": float(bx),
+            "ctaid_y": float(by),
+            "nctaid_x": float(gx),
+            "nctaid_y": float(gy),
+        }
+        lane_ids = np.arange(WARP_SIZE, dtype=np.int64)
+        self.warps = []
+        for w in range(num_warps):
+            alive = (w * WARP_SIZE + lane_ids) < threads
+            self.warps.append(
+                _WarpState(w, alive, kernel.num_registers, kernel.num_predicates)
+            )
 
 
 class _GridRun:
-    """Stacked execution state for a *batch* of independent blocks.
+    """Stacked execution state for a *slab* of independent blocks.
 
-    Whole batches of blocks ride the batched interpreter as extra warp
-    rows: the register/predicate files stack to ``(B * warps_per_block
-    * 32, regs)``, shared memory becomes one arena of bank-aligned
-    per-block slices, and block-varying specials (``ctaid``) become
-    per-row columns.  Per-block statistics, warp streams and footprints
-    are routed to :class:`_BlockSlot` entries, so the resulting
-    :class:`BlockTrace` objects are bit-identical to running each block
-    alone.
+    The batched interpreter runs every block as part of a slab (a
+    single block is a one-block slab).  The blocks' register/predicate
+    files stack to ``(B * warps_per_block * 32, regs)``, shared memory
+    becomes one arena of bank-aligned per-block slices, and
+    block-varying specials (``ctaid``) become per-row columns.
+    Per-block statistics, warp streams and footprints are routed to
+    :class:`_BlockSlot` entries, so the resulting :class:`BlockTrace`
+    objects are bit-identical to the per-warp oracle's block by block.
+
+    The arena is a plain word array: the interpreter checks every
+    shared access against the block-local footprint, once, before it
+    translates the address into the block's slice (see
+    :meth:`_BatchedInterpreter._shared_access`).
 
     Barrier-synchronized kernels (matmul, cyclic reduction -- the
     paper's headline workloads) batch too: ``bar.sync`` parks only the
@@ -482,12 +449,11 @@ class _GridRun:
         "R",
         "P",
         "smem",
-        "smem_offsets",
-        "smem_bytes",
+        "smem_base",
         "launch",
-        "block_slots",
+        "slots",
         "specials",
-        "_exited",
+        "exited",
     )
 
     def __init__(
@@ -516,13 +482,12 @@ class _GridRun:
         words = kernel.shared_memory_words
         bank_words = 16  # 16 banks x 4-byte words = one 64B bank period
         pad_words = -(-max(words, 1) // bank_words) * bank_words
-        self.smem = SharedMemory(pad_words * num_blocks)
-        self.smem_bytes = words * 4
-        block_of_row = np.repeat(np.arange(num_blocks, dtype=np.int64), num_warps)
-        self.smem_offsets = (block_of_row * (pad_words * 4))[:, None]
+        self.smem = np.zeros(pad_words * num_blocks)
+        block_of_row = np.repeat(np.arange(num_blocks, dtype=np.uint64), num_warps)
+        self.smem_base = (block_of_row * np.uint64(pad_words))[:, None]
 
         self.launch = launch
-        self.block_slots = [_BlockSlot(block) for block in blocks]
+        self.slots = [_BlockSlot(block) for block in blocks]
         bx = np.asarray([b[0] for b in blocks], dtype=np.float64)
         by = np.asarray([b[1] for b in blocks], dtype=np.float64)
         self.specials = {
@@ -534,43 +499,15 @@ class _GridRun:
         }
         lane_ids = np.arange(WARP_SIZE, dtype=np.int64)
         local = (np.arange(rows, dtype=np.int64) % num_warps)[:, None]
-        self._exited = (local * WARP_SIZE + lane_ids) >= threads
-
-    def slots(self) -> list:
-        return self.block_slots
-
-    def streams(self) -> list[list]:
-        return [[] for _ in range(len(self.block_slots) * self.launch.warps_per_block)]
-
-    def exited_rows(self) -> np.ndarray:
-        return self._exited
+        self.exited = (local * WARP_SIZE + lane_ids) >= threads
 
     def finish(self, streams: list[list]) -> list[BlockTrace]:
-        """Per-block traces, bit-identical to standalone block runs."""
+        """Per-block traces, bit-identical to the per-warp oracle's."""
         wpb = self.launch.warps_per_block
-        traces = []
-        for index, slot in enumerate(self.block_slots):
-            slot.stage.active_warps = len(slot.stage_warps)
-            for stage in slot.stages:
-                stage.canonicalize_order()
-            traces.append(
-                BlockTrace(
-                    block=slot.block,
-                    stages=slot.stages,
-                    warp_streams=streams[index * wpb : (index + 1) * wpb],
-                    global_load_ranges=tuple(
-                        span
-                        for intervals in slot.load_ranges.values()
-                        for span in intervals.capped()
-                    ),
-                    global_store_ranges=tuple(
-                        span
-                        for intervals in slot.store_ranges.values()
-                        for span in intervals.capped()
-                    ),
-                )
-            )
-        return traces
+        return [
+            slot.finish(streams[index * wpb : (index + 1) * wpb])
+            for index, slot in enumerate(self.slots)
+        ]
 
 
 class FunctionalSimulator:
@@ -592,13 +529,13 @@ class FunctionalSimulator:
         oracle for differential testing; both produce bit-identical
         :class:`BlockTrace` results for barrier-synchronized kernels.
     grid_batch_blocks:
-        Blocks per multi-block slab in :meth:`run_blocks`.  ``None``
-        (default) resolves through :func:`repro.tune.resolve` *per
-        launch* (see :meth:`grid_batch_blocks_for`):
-        ``$REPRO_TUNE_GRID_BATCH_BLOCKS`` /
-        ``$REPRO_GRID_BATCH_BLOCKS``, then the machine's persisted
-        tuning profile (``repro tune run``) keyed by the launch's
-        warps-per-block, then the built-in default.
+        Blocks per slab in :meth:`run_blocks` -- the only way to set
+        the width explicitly.  ``None`` (default) resolves through
+        :func:`repro.tune.resolve` *per launch* (see
+        :meth:`grid_batch_blocks_for`): ``$REPRO_TUNE_GRID_BATCH_BLOCKS``,
+        then the machine's persisted tuning profile (``repro tune
+        run``) keyed by the launch's warps-per-block, then the built-in
+        default.
     """
 
     def __init__(
@@ -632,24 +569,6 @@ class FunctionalSimulator:
         for granularity in (4, 8, 16, 32, 64, 128):
             self._txn_config(granularity)
 
-    @property
-    def grid_batch_blocks(self) -> int:
-        """Launch-independent slab width (no warps-per-block context).
-
-        Kept for callers without a launch in hand; slab-forming paths
-        use :meth:`grid_batch_blocks_for`, which also consults the
-        tuning profile's per-warps-per-block table.
-        """
-        return tune_resolve(
-            "grid_batch_blocks", kwarg=self._grid_batch_kwarg, spec=self.spec
-        )
-
-    @grid_batch_blocks.setter
-    def grid_batch_blocks(self, value: int | None) -> None:
-        # An explicit width has kwarg precedence: it wins over the env
-        # and the profile for every subsequent launch.
-        self._grid_batch_kwarg = value
-
     def grid_batch_blocks_for(self, launch: LaunchConfig) -> int:
         """Slab width for one launch, resolved at ``run_blocks`` time.
 
@@ -657,8 +576,8 @@ class FunctionalSimulator:
         warps-per-block* (wide blocks saturate the batch earlier), so
         the width is a property of the launch, not of the simulator:
         one simulator instance serves differently-shaped launches with
-        each launch's own tuned width.  Explicit ``grid_batch_blocks``
-        kwargs and the environment still override.
+        each launch's own tuned width.  An explicit ``grid_batch_blocks``
+        kwarg and the environment still override.
         """
         return tune_resolve(
             "grid_batch_blocks",
@@ -714,19 +633,19 @@ class FunctionalSimulator:
     ) -> list[BlockTrace]:
         """Simulate many blocks, in order.
 
-        With the batched interpreter, blocks are executed in grid
-        batches of :attr:`grid_batch_blocks` -- every block's warps
-        ride the same PC-grouped NumPy dispatches (see
-        :class:`_GridRun`) -- which is what makes full-grid traces of
-        both data-dependent kernels (the paper's SpMV) and
-        barrier-synchronized ones (matmul, cyclic reduction: blocks
-        release their barriers independently) cheap.  The per-warp
-        oracle runs block by block.
+        With the batched interpreter, blocks are executed in slabs of
+        :meth:`grid_batch_blocks_for` blocks (the last slab may be
+        narrower, down to one block) -- every block's warps ride the
+        same PC-grouped NumPy dispatches (see :class:`_GridRun`) --
+        which is what makes full-grid traces of both data-dependent
+        kernels (the paper's SpMV) and barrier-synchronized ones
+        (matmul, cyclic reduction: blocks release their barriers
+        independently) cheap.  The per-warp oracle runs block by block.
         """
         from repro import obs
 
         self._check_launch(launch)
-        if not (self.batched and len(blocks) > 1):
+        if not self.batched:
             return [self.run_block(launch, block) for block in blocks]
         traces: list[BlockTrace] = []
         step = max(1, int(self.grid_batch_blocks_for(launch)))
@@ -738,20 +657,7 @@ class FunctionalSimulator:
                 obs.metrics.inc("functional.blocks", len(blocks))
             for start in range(0, len(blocks), step):
                 chunk = blocks[start : start + step]
-                if len(chunk) == 1:
-                    traces.append(self.run_block(launch, chunk[0]))
-                    continue
-                for block in chunk:
-                    bx, by = block
-                    gx, gy = launch.grid
-                    if not (0 <= bx < gx and 0 <= by < gy):
-                        raise LaunchError(
-                            f"block {block} outside grid {launch.grid}"
-                        )
-                run = _GridRun(self.kernel, launch, chunk)
-                interpreter = _BatchedInterpreter(self, run)
-                interpreter.execute()
-                traces.extend(run.finish(interpreter.streams))
+                traces.extend(self._run_slab(launch, chunk)[0])
         return traces
 
     def run_block(
@@ -763,21 +669,20 @@ class FunctionalSimulator:
 
     def run_block_state(
         self, launch: LaunchConfig, block: tuple[int, int]
-    ) -> tuple[BlockTrace, _BlockRun]:
+    ) -> tuple[BlockTrace, _GridRun | _BlockRun]:
         """:meth:`run_block` plus the final per-run state (register and
-        predicate files), for oracles and differential tests.  Nothing
-        is retained on the simulator, so concurrent runs stay isolated.
+        predicate files ``R``/``P``), for oracles and differential
+        tests.  The batched interpreter runs the block as a one-block
+        slab.  Nothing is retained on the simulator, so concurrent runs
+        stay isolated.
         """
         self._check_launch(launch)
         bx, by = block
-        gx, gy = launch.grid
-        if not (0 <= bx < gx and 0 <= by < gy):
-            raise LaunchError(f"block {block} outside grid {launch.grid}")
-
-        run = _BlockRun(self.kernel, launch, (bx, by))
         if self.batched:
-            _BatchedInterpreter(self, run).execute()
-            return run.finish(), run
+            traces, run = self._run_slab(launch, [(bx, by)])
+            return traces[0], run
+        self._check_block(launch, (bx, by))
+        run = _BlockRun(self.kernel, launch, (bx, by))
         while True:
             for warp in run.warps:
                 if not warp.done and not warp.at_barrier:
@@ -789,7 +694,18 @@ class FunctionalSimulator:
                 warp.at_barrier = False
             run.next_stage()
 
-        return run.finish(), run
+        return run.finish([warp.stream for warp in run.warps]), run
+
+    def _run_slab(
+        self, launch: LaunchConfig, blocks: list[tuple[int, int]]
+    ) -> tuple[list[BlockTrace], _GridRun]:
+        """Run one slab of blocks on the batched interpreter."""
+        for block in blocks:
+            self._check_block(launch, block)
+        run = _GridRun(self.kernel, launch, blocks)
+        interpreter = _BatchedInterpreter(self, run)
+        interpreter.execute()
+        return run.finish(interpreter.streams), run
 
     # ------------------------------------------------------------------
     # warp execution
@@ -800,6 +716,13 @@ class FunctionalSimulator:
                 f"{launch.block_threads} threads/block exceeds the "
                 f"{self.spec.sm.max_threads_per_block} limit"
             )
+
+    @staticmethod
+    def _check_block(launch: LaunchConfig, block: tuple[int, int]) -> None:
+        bx, by = block
+        gx, gy = launch.grid
+        if not (0 <= bx < gx and 0 <= by < gy):
+            raise LaunchError(f"block {block} outside grid {launch.grid}")
 
     def _run_warp_until_barrier(self, run: _BlockRun, warp: _WarpState) -> None:
         instructions = self._decoded
@@ -1112,27 +1035,28 @@ HALF_WARP_SPLIT = 16
 
 
 class _BatchedInterpreter:
-    """Batched execution of one :class:`_BlockRun` or :class:`_GridRun`.
+    """Batched execution of one :class:`_GridRun` slab.
 
     Each step groups all runnable warps (not exited, not parked at a
     barrier) by the instruction their min-PC lands on and executes every
-    group's instruction *once* over the run's full ``(rows, 32)``
-    register slab, with per-warp group membership folded into the active
-    mask.  Working full-width keeps every register access a basic-slice
-    *view* (no gather/scatter copies); warps outside the group see only
-    masked-out lanes, so they are never observably touched.  Per-warp
-    state that the per-warp oracle keeps in :class:`_WarpState` lives
-    here in stacked arrays: PCs and exit masks as ``(rows, 32)``,
-    dependence producers as ``(rows, num_regs)``, issue counters and
-    stream lengths as ``(rows,)``.  Warp streams are appended per warp
-    (they are Python lists the timing simulator replays), but
-    everything else -- arithmetic, predicate evaluation, shared/global
-    traffic, coalescing and bank analysis, dependence distances -- is
-    one NumPy dispatch per dynamic instruction per PC-group.
+    group's instruction *once* over the slab's full ``(rows, 32)``
+    register file, with per-warp group membership folded into the
+    active mask.  Working full-width keeps every register access a
+    basic-slice *view* (no gather/scatter copies); warps outside the
+    group see only masked-out lanes, so they are never observably
+    touched.  Per-warp state that the per-warp oracle keeps in
+    :class:`_WarpState` lives here in stacked arrays: PCs and exit
+    masks as ``(rows, 32)``, dependence producers as ``(rows,
+    num_regs)``, issue counters and stream lengths as ``(rows,)``.
+    Warp streams are appended per warp (they are Python lists the
+    timing simulator replays), but everything else -- arithmetic,
+    predicate evaluation, shared/global traffic, coalescing and bank
+    analysis, dependence distances -- is one NumPy dispatch per dynamic
+    instruction per PC-group.
 
-    A :class:`_GridRun` stacks whole batches of blocks as extra warp
-    rows (statistics route to per-block slots); a single block is
-    simply the ``num_slots == 1`` case of the same machinery.  Barriers
+    Every run is a slab: the blocks' warps stack as rows, and
+    statistics route to the blocks' :class:`_BlockSlot` entries (one
+    block is a one-block slab, with no separate code path).  Barriers
     are released *per block*: ``bar.sync`` parks the arriving warps,
     and as soon as every live warp of one block is parked that block's
     slot advances its stage and its warps resume -- blocks in one slab
@@ -1153,7 +1077,8 @@ class _BatchedInterpreter:
         "num_slots",
         "wpb",
         "smem",
-        "smem_offsets",
+        "smem_base",
+        "smem_words",
         "specials",
         "decoded",
         "streams",
@@ -1175,23 +1100,23 @@ class _BatchedInterpreter:
         "_operand_cache",
         "_alloc_cache",
         "_gran_configs",
-        "_totals_tail",
     )
 
-    def __init__(self, sim: FunctionalSimulator, run) -> None:
+    def __init__(self, sim: FunctionalSimulator, run: _GridRun) -> None:
         self.sim = sim
         self.launch = run.launch
-        self.slots = run.slots()
+        self.slots = run.slots
         self.num_slots = len(self.slots)
         self.wpb = run.launch.warps_per_block
         self.smem = run.smem
-        self.smem_offsets = run.smem_offsets
+        self.smem_base = run.smem_base
+        self.smem_words = sim.kernel.shared_memory_words
         self.specials = run.specials
         self.decoded = sim._decoded
         num_warps = self.num_slots * self.wpb
         self.num_warps = num_warps
-        self.streams = run.streams()
-        exited = run.exited_rows()
+        self.streams = [[] for _ in range(num_warps)]
+        exited = run.exited
         self.alive = ~exited
         # Invariant: exited lanes sit at PC = _INT64_MAX, so per-warp
         # min-PCs and "fully exited" fall out of one row minimum and no
@@ -1215,16 +1140,16 @@ class _BatchedInterpreter:
             (self.warp_range % self.wpb)[:, None] * WARP_SIZE + sim._lane_ids
         ).astype(np.float64)
         # Rows whose warp has not yet done "real work" in the current
-        # stage (multi-block accounting amortizes marking through this).
+        # stage (stage-warp marking amortizes through this).
         self._unmarked = set(self.all_warps)
         # Immediates and launch-uniform specials never change during a
         # run and are only ever read, so their slabs are shared; global
         # allocation lookups are memoized per static instruction.
         self._operand_cache: dict[tuple, np.ndarray] = {}
         self._alloc_cache: dict[int, object] = {}
-        granularities = run.launch.granularities
-        self._gran_configs = [sim._txn_config(g) for g in granularities]
-        self._totals_tail = range(1, len(granularities))
+        self._gran_configs = [
+            sim._txn_config(g) for g in run.launch.granularities
+        ]
 
     # ------------------------------------------------------------------
     # main loop
@@ -1386,12 +1311,9 @@ class _BatchedInterpreter:
             else:
                 rows = [r for r in self._unmarked if working[r]]
                 self._unmarked.difference_update(rows)
-            if self.num_slots == 1:
-                self.slots[0].stage_warps.update(rows)
-            else:
-                wpb = self.wpb
-                for r in rows:
-                    self.slots[r // wpb].stage_warps.add(r % wpb)
+            wpb = self.wpb
+            for r in rows:
+                self.slots[r // wpb].stage_warps.add(r % wpb)
         if kind == OpKind.ARITH or kind == OpKind.SELECT:
             self._exec_arith(ws, decoded, active)
         elif kind == OpKind.SETP:
@@ -1438,15 +1360,13 @@ class _BatchedInterpreter:
             return cached, None
         if tag == "mem":
             base_idx, offset = operand[1], operand[2]
-            addresses = self._shared_addresses(base_idx, offset, active)
+            addresses, words = self._shared_access(base_idx, offset, active)
             if active.all():
-                values = self.smem.read(addresses.ravel()).reshape(
-                    addresses.shape
-                )
+                values = self.smem[words]
             else:
                 values = np.zeros((self.num_warps, WARP_SIZE))
                 if active.any():
-                    values[active] = self.smem.read(addresses[active])
+                    values[active] = self.smem[words[active]]
             if base_idx < 0:
                 # Broadcast of one static word: one transaction per
                 # active half-warp, never a conflict.
@@ -1462,33 +1382,34 @@ class _BatchedInterpreter:
             return values, (actual, ideal)
         raise SimulationError(f"cannot fetch operand {operand!r}")
 
-    def _shared_addresses(self, base_idx, offset, active) -> np.ndarray:
-        """Shared addresses, translated into the grid arena if batched.
+    def _shared_access(self, base_idx, offset, active):
+        """Block-local byte addresses and arena word indices of one
+        shared access, every active lane checked against the footprint.
 
-        Grid batches validate block-local bounds *before* adding the
-        per-block arena offset, preserving the standalone out-of-bounds
-        behaviour; the 64-byte-aligned offsets never change bank/word
-        patterns, so conflict counts are unaffected.
+        This is the one shared-memory bounds check of the batched
+        interpreter (the arena is a plain word array).  Rotating an
+        address right by two bits yields its word index when it is
+        4-byte aligned and non-negative, and at least ``2**61``
+        otherwise, so one unsigned compare against the footprint's word
+        count rejects negative, unaligned and out-of-footprint lanes
+        alike.  The arena's 64-byte-aligned slice bases never change
+        bank/word patterns, so bank analysis uses the block-local
+        addresses.
         """
         addresses = self._addresses(base_idx, offset)
-        if self.smem_offsets is None:
-            return addresses
-        if active.any():
+        bits = addresses.view(np.uint64)
+        words = (bits >> 2) | (bits << 62)
+        if (active & (words >= self.smem_words)).any():
             chosen = addresses[active]
-            footprint = self.sim.kernel.shared_memory_words * 4
-            if int(chosen.min()) < 0 or int(chosen.max()) + 4 > footprint:
-                raise MemoryAccessError(
-                    f"shared access out of bounds (footprint = {footprint} B)"
-                )
-        return addresses + self.smem_offsets
+            if np.any(chosen % 4):
+                raise MemoryAccessError("shared access must be 4-byte aligned")
+            raise MemoryAccessError(
+                "shared access out of bounds "
+                f"(footprint = {self.smem_words * 4} B)"
+            )
+        return addresses, words + self.smem_base
 
     def _account_shared(self, actual, ideal, active) -> None:
-        if self.num_slots == 1:
-            stage = self.slots[0].stage
-            stage.shared_transactions += int(actual.sum())
-            stage.shared_transactions_ideal += int(ideal.sum())
-            stage.shared_useful_bytes += 4 * int(active.sum())
-            return
         wpb = self.wpb
         per_actual = actual.reshape(-1, wpb).sum(axis=1).tolist()
         per_ideal = ideal.reshape(-1, wpb).sum(axis=1).tolist()
@@ -1560,25 +1481,23 @@ class _BatchedInterpreter:
             base_idx, offset = decoded.srcs[0][1], decoded.srcs[0][2]
         else:
             base_idx, offset = decoded.dst_mem[1], decoded.dst_mem[2]
-        addresses = self._shared_addresses(base_idx, offset, active)
+        addresses, words = self._shared_access(base_idx, offset, active)
         if active.any():
             full = active.all()
             if is_load:
                 if full:
-                    self.R3[:, :, decoded.dst_reg][:, :] = self.smem.read(
-                        addresses.ravel()
-                    ).reshape(addresses.shape)
+                    self.R3[:, :, decoded.dst_reg][:, :] = self.smem[words]
                 else:
-                    values = self.smem.read(addresses[active])
+                    values = self.smem[words[active]]
                     self.R3[:, :, decoded.dst_reg][active] = values
             else:
                 store_vals, _ = self._fetch(decoded.srcs[0], active)
                 # Row-major flattening stores in ascending warp order,
                 # matching the serial oracle's last-writer-wins.
                 if full:
-                    self.smem.write(addresses.ravel(), store_vals.ravel())
+                    self.smem[words.ravel()] = store_vals.ravel()
                 else:
-                    self.smem.write(addresses[active], store_vals[active])
+                    self.smem[words[active]] = store_vals[active]
             actual, ideal = warp_transactions_batch(
                 addresses, active, self.sim._bank_config
             )
@@ -1611,20 +1530,14 @@ class _BatchedInterpreter:
             base_idx, offset = decoded.dst_mem[1], decoded.dst_mem[2]
         addresses = self._addresses(base_idx, offset)
 
-        single = self.num_slots == 1
         num_warps = self.num_warps
         wpb = self.wpb
-        n_active = int(active.sum())
-        if single:
-            stage = self.slots[0].stage
-            stage.global_requests += len(ws)
-            stage.global_useful_bytes += 4 * n_active
-        else:
-            per_useful = active.reshape(self.num_slots, -1).sum(axis=1).tolist()
-            for slot, k in self._per_slot_counts(ws):
-                slot.stage.global_requests += k
-            for slot, useful in zip(self.slots, per_useful):
-                slot.stage.global_useful_bytes += 4 * int(useful)
+        per_useful = active.reshape(self.num_slots, -1).sum(axis=1).tolist()
+        n_active = sum(per_useful)
+        for slot, k in self._per_slot_counts(ws):
+            slot.stage.global_requests += k
+        for slot, useful in zip(self.slots, per_useful):
+            slot.stage.global_useful_bytes += 4 * useful
 
         primary_txns: np.ndarray | int = 0
         primary_bytes: np.ndarray | int = 0
@@ -1672,41 +1585,22 @@ class _BatchedInterpreter:
 
             record = self.launch.record_segments
             granularities = self.launch.granularities
-            # Non-primary granularities only feed aggregate counters,
-            # so their per-warp histograms are skipped when a single
-            # block with one target allocation is running.  Addresses
-            # were validated 4-byte aligned by the read/write above.
+            # Addresses were validated 4-byte aligned by the read/write
+            # above.
             outputs = coalesce_warp_multi(
                 addresses,
                 None if full else active,
                 4,
                 self._gran_configs,
                 want_segments_at=0 if record else None,
-                totals_only=(
-                    self._totals_tail if one_name and single else ()
-                ),
                 aligned=True,
             )
             segments = None
             for position, granularity in enumerate(granularities):
-                counts, nbytes, total_txns, total_bytes, segs = outputs[
-                    position
-                ]
-                if single:
-                    self._account_gran_single(
-                        granularity,
-                        total_txns,
-                        total_bytes,
-                        counts,
-                        nbytes,
-                        names,
-                        rows,
-                        one_name,
-                    )
-                else:
-                    self._account_gran_grid(
-                        granularity, counts, nbytes, names, rows, one_name
-                    )
+                counts, nbytes, _, _, segs = outputs[position]
+                self._account_gran(
+                    granularity, counts, nbytes, names, rows, one_name
+                )
                 if position == 0:
                     primary_txns = counts
                     primary_bytes = nbytes
@@ -1725,34 +1619,7 @@ class _BatchedInterpreter:
         event_kind = EV_GLOBAL_LD if is_load else EV_GLOBAL_ST
         self._emit(ws, decoded, event_kind, primary_txns, primary_bytes, payloads)
 
-    def _account_gran_single(
-        self, granularity, total_txns, total_bytes, counts, nbytes,
-        names, rows, one_name,
-    ) -> None:
-        stage = self.slots[0].stage
-        stage.global_transactions[granularity] = (
-            stage.global_transactions.get(granularity, 0) + total_txns
-        )
-        stage.global_bytes[granularity] = (
-            stage.global_bytes.get(granularity, 0) + total_bytes
-        )
-        if one_name:
-            per_array = stage.global_by_array.setdefault(names[rows[0]], {})
-            old = per_array.get(granularity, (0, 0))
-            per_array[granularity] = (
-                old[0] + total_txns,
-                old[1] + total_bytes,
-            )
-        else:
-            for i in rows:
-                per_array = stage.global_by_array.setdefault(names[i], {})
-                old = per_array.get(granularity, (0, 0))
-                per_array[granularity] = (
-                    old[0] + int(counts[i]),
-                    old[1] + int(nbytes[i]),
-                )
-
-    def _account_gran_grid(
+    def _account_gran(
         self, granularity, counts, nbytes, names, rows, one_name
     ) -> None:
         wpb = self.wpb
@@ -1793,14 +1660,6 @@ class _BatchedInterpreter:
     # statistics plumbing
     # ------------------------------------------------------------------
     def _record_issue(self, decoded, ws) -> None:
-        if self.num_slots == 1:
-            k = len(ws)
-            stage = self.slots[0].stage
-            stage.instructions[decoded.mnemonic] += k
-            stage.instr_by_type[decoded.type_name] += k
-            if decoded.is_mad:
-                stage.mad_instructions += k
-            return
         for slot, k in self._per_slot_counts(ws):
             stage = slot.stage
             stage.instructions[decoded.mnemonic] += k

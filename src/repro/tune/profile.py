@@ -2,8 +2,8 @@
 
 The execution engine used to run on two magic numbers --
 ``HardwareGpu.min_parallel_events`` (the serial/pool crossover of the
-timing layer) and ``FunctionalSimulator.grid_batch_blocks`` (the
-multi-block interpreter's slab width) -- fixed at 50 000 and 32 for
+timing layer) and ``FunctionalSimulator``'s ``grid_batch_blocks`` (the
+batched interpreter's slab width) -- fixed at 50 000 and 32 for
 every machine, spec and kernel shape.  This module makes both *measured
 and persisted* instead: the tuners (:mod:`repro.tune.events`,
 :mod:`repro.tune.slab`) write a :class:`TuningProfile` keyed by
@@ -14,13 +14,13 @@ with one documented precedence:
     explicit kwarg  >  environment override  >  tuning profile  >
     built-in default
 
-Environment overrides are the ``$REPRO_TUNE_<PARAM>`` family (plus the
-pre-existing ``$REPRO_GRID_BATCH_BLOCKS`` alias).  Every layer fails
-open: an unparsable env value or a malformed profile entry emits a
-``RuntimeWarning`` and falls through to the next source, and numeric
-values are clamped to the parameter's floor -- a bad profile can cost
-performance, never correctness (both knobs are pure schedule choices;
-results are bit-identical at any setting).
+Environment overrides are the ``$REPRO_TUNE_<PARAM>`` family, one
+variable per parameter.  Every layer fails open: an unparsable env
+value or a malformed profile entry emits a ``RuntimeWarning`` and falls
+through to the next source, and numeric values are clamped to the
+parameter's floor -- a bad profile can cost performance, never
+correctness (both knobs are pure schedule choices; results are
+bit-identical at any setting).
 
 Profiles ride the same :class:`repro.util.VersionedPickleCache`
 protocol as the trace and measured-run caches: versioned payloads,
@@ -62,15 +62,10 @@ PARAM_FLOORS = {
     "min_parallel_events": 0,
 }
 
-#: Environment override names per parameter, checked in order.  The
-#: bare ``REPRO_GRID_BATCH_BLOCKS`` spelling predates the subsystem and
-#: is kept as an alias.
+#: Environment override variable per parameter.
 ENV_OVERRIDES = {
-    "grid_batch_blocks": (
-        "REPRO_TUNE_GRID_BATCH_BLOCKS",
-        "REPRO_GRID_BATCH_BLOCKS",
-    ),
-    "min_parallel_events": ("REPRO_TUNE_MIN_PARALLEL_EVENTS",),
+    "grid_batch_blocks": "REPRO_TUNE_GRID_BATCH_BLOCKS",
+    "min_parallel_events": "REPRO_TUNE_MIN_PARALLEL_EVENTS",
 }
 
 _UNSET = object()
@@ -310,10 +305,9 @@ def resolve_with_source(
         value = _coerce(param, kwarg, "kwarg")
         if value is not None:
             return value, "kwarg"
-    for name in ENV_OVERRIDES[param]:
-        raw = os.environ.get(name)
-        if raw is None or raw == "":
-            continue
+    name = ENV_OVERRIDES[param]
+    raw = os.environ.get(name)
+    if raw:
         value = _coerce(param, raw, f"${name}")
         if value is not None:
             return value, f"env:{name}"

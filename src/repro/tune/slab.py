@@ -1,6 +1,7 @@
 """Slab-width auto-tuner for the multi-block batched interpreter.
 
-``FunctionalSimulator.grid_batch_blocks`` trades two costs: wide slabs
+The batched interpreter's slab width (``FunctionalSimulator``'s
+``grid_batch_blocks``) trades two costs: wide slabs
 amortize per-instruction NumPy dispatch over more warp rows, narrow
 slabs keep per-step Python accounting (PC grouping, barrier release,
 per-block stat routing) small.  The sweet spot depends on the machine

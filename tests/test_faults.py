@@ -283,10 +283,10 @@ def _spmv_run(
         cache_dir=cache,
         faults=plan,
         task_timeout=timeout,
+        # Chunk fine enough that the small grid genuinely fans out,
+        # giving every injected fault a pool task to hit.
+        grid_batch_blocks=2,
     )
-    # Chunk fine enough that the small grid genuinely fans out, giving
-    # every injected fault a pool task to hit.
-    engine.simulator.grid_batch_blocks = 2
     return engine.run(problem.launch()), problem.launch()
 
 
@@ -421,8 +421,8 @@ class TestMatmulFailureMatrix:
             gmem=problem.gmem,
             workers=workers,
             faults=plan,
+            grid_batch_blocks=1,
         )
-        engine.simulator.grid_batch_blocks = 1
         # dedup=False: the affine grid collapses to one class otherwise,
         # leaving a single pool task and nothing for the fault to hit.
         return engine.run(problem.launch(), dedup=False)

@@ -2,7 +2,7 @@
 barrier-synchronized kernels batch whole grids, blocks advance their
 stages independently within one slab, and the divergence/budget
 errors still fire per block.  Also covers the ``grid_batch_blocks``
-override (env var and engine kwarg)."""
+override (env var and the simulator/engine kwarg)."""
 
 import pickle
 
@@ -12,7 +12,8 @@ from repro.errors import DivergenceError
 from repro.isa import Imm, KernelBuilder
 from repro.sim import FunctionalSimulator, GlobalMemory, LaunchConfig
 from repro.sim.engine import SimulationEngine
-from repro.sim.functional import GRID_BATCH_BLOCKS_ENV
+
+GRID_BATCH_BLOCKS_ENV = "REPRO_TUNE_GRID_BATCH_BLOCKS"
 
 
 def assert_grid_batch_identical(kernel, launch, gmem_factory, blocks=None):
@@ -210,6 +211,8 @@ class TestGridBatchBlocksOverride:
     env > profile > built-in default; see test_tune_resolve for the
     full precedence matrix)."""
 
+    LAUNCH = LaunchConfig(grid=(1, 1), block_threads=32)
+
     def _kernel(self):
         b = KernelBuilder("k")
         r = b.reg()
@@ -220,36 +223,37 @@ class TestGridBatchBlocksOverride:
     def test_default_resolves_to_builtin(self):
         from repro.tune import BUILTIN_DEFAULTS
 
-        sim = FunctionalSimulator(self._kernel())
-        assert sim.grid_batch_blocks == BUILTIN_DEFAULTS["grid_batch_blocks"]
-        assert sim.grid_batch_blocks == 32
+        width = FunctionalSimulator(self._kernel()).grid_batch_blocks_for(
+            self.LAUNCH
+        )
+        assert width == BUILTIN_DEFAULTS["grid_batch_blocks"]
+        assert width == 32
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(GRID_BATCH_BLOCKS_ENV, "7")
-        assert FunctionalSimulator(self._kernel()).grid_batch_blocks == 7
+        sim = FunctionalSimulator(self._kernel())
+        assert sim.grid_batch_blocks_for(self.LAUNCH) == 7
 
     def test_kwarg_beats_env(self, monkeypatch):
         monkeypatch.setenv(GRID_BATCH_BLOCKS_ENV, "7")
         sim = FunctionalSimulator(self._kernel(), grid_batch_blocks=4)
-        assert sim.grid_batch_blocks == 4
+        assert sim.grid_batch_blocks_for(self.LAUNCH) == 4
 
     def test_invalid_env_fails_open(self, monkeypatch):
-        import pytest
-
         monkeypatch.setenv(GRID_BATCH_BLOCKS_ENV, "not-a-number")
-        # Resolution happens per launch (at run/read time), not at
-        # construction, so the warning fires on the attribute read.
+        # Resolution happens per launch (at run time), not at
+        # construction, so the warning fires on the per-launch read.
         sim = FunctionalSimulator(self._kernel())
         with pytest.warns(RuntimeWarning):
-            assert sim.grid_batch_blocks == 32
+            assert sim.grid_batch_blocks_for(self.LAUNCH) == 32
 
     def test_floor_of_one(self):
         sim = FunctionalSimulator(self._kernel(), grid_batch_blocks=0)
-        assert sim.grid_batch_blocks == 1
+        assert sim.grid_batch_blocks_for(self.LAUNCH) == 1
 
     def test_engine_kwarg_reaches_simulator(self):
         engine = SimulationEngine(self._kernel(), grid_batch_blocks=3)
-        assert engine.simulator.grid_batch_blocks == 3
+        assert engine.simulator.grid_batch_blocks_for(self.LAUNCH) == 3
 
     def test_slab_width_changes_engine_cache_key(self):
         launch = LaunchConfig(grid=(1, 1), block_threads=32)
@@ -309,8 +313,6 @@ class TestPerLaunchSlabResolution:
         assert sim.grid_batch_blocks_for(narrow) == 5
         assert sim.grid_batch_blocks_for(wide) == 9
         assert sim.grid_batch_blocks_for(unknown) == 7
-        # The launch-free property has no warps context: the default.
-        assert sim.grid_batch_blocks == 7
 
     def test_one_simulator_serves_differently_shaped_launches(self):
         # The regression the refactor fixes: construction froze the
@@ -324,15 +326,12 @@ class TestPerLaunchSlabResolution:
             LaunchConfig(grid=(1, 1), block_threads=32)
         ) == 5
 
-    def test_kwarg_and_assignment_still_override(self):
+    def test_kwarg_still_overrides(self):
         self._save_by_warps_profile({1: 5}, default=7)
         launch = LaunchConfig(grid=(1, 1), block_threads=32)
         sim = FunctionalSimulator(self._kernel(), grid_batch_blocks=3)
         assert sim.grid_batch_blocks_for(launch) == 3
-        sim.grid_batch_blocks = 2
-        assert sim.grid_batch_blocks_for(launch) == 2
-        assert sim.grid_batch_blocks == 2
-        sim.grid_batch_blocks = None
+        sim = FunctionalSimulator(self._kernel())
         assert sim.grid_batch_blocks_for(launch) == 5
 
     def test_engine_cache_key_uses_per_launch_width(self):

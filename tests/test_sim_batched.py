@@ -1,9 +1,10 @@
 """Batched interpreter: differential equivalence against the per-warp
 oracle, grid batching of barrier-free blocks, vectorized coalescing and
-bank analysis, interval-list footprints, digest memoization, and the
-shared-memory arena transport for pool workers."""
+bank analysis, shared-memory bounds checks, interval-list footprints,
+digest memoization, and the spawn-pool transport for engine workers."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -293,20 +294,40 @@ class TestGridBatching:
             grid_gmem.read_array(out, 6 * 64), expected_out
         )
 
-    def test_grid_batch_shared_bounds_still_checked(self):
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "oracle"])
+    @pytest.mark.parametrize("runner", ["run_block", "run_blocks"], ids=["1", "n"])
+    @pytest.mark.parametrize(
+        "shift, message",
+        [
+            # Lanes 8-15 exceed the 32-byte footprint but stay inside
+            # the block's 64-byte padded arena slice: the check must be
+            # against the footprint, for a lone block as for a slab.
+            (0, "shared access out of bounds (footprint = 32 B)"),
+            (2, "shared access must be 4-byte aligned"),
+            (-64, "shared access out of bounds (footprint = 32 B)"),
+        ],
+        ids=["oob", "odd", "neg"],
+    )
+    def test_grid_batch_shared_bounds_still_checked(
+        self, shift, message, runner, batched
+    ):
         b = KernelBuilder("oob")
         b.alloc_shared(8)
         sa = b.reg()
-        b.ishl(sa, b.tid, Imm(2))  # lanes 8.. exceed the footprint
+        b.ishl(sa, b.tid, Imm(2))
+        b.iadd(sa, sa, Imm(shift))
         v = b.reg()
         b.mov(v, Imm(1.0))
         b.sts(v, sa)
         b.exit()
         kernel = b.build()
-        launch = LaunchConfig(grid=(4, 1), block_threads=32)
-        sim = FunctionalSimulator(kernel, batched=True)
-        with pytest.raises(MemoryAccessError):
-            sim.run_blocks(launch, launch.all_blocks())
+        launch = LaunchConfig(grid=(4, 1), block_threads=16)
+        sim = FunctionalSimulator(kernel, batched=batched)
+        with pytest.raises(MemoryAccessError, match=re.escape(message)):
+            if runner == "run_block":
+                sim.run_block(launch, (3, 0))
+            else:
+                sim.run_blocks(launch, launch.all_blocks())
 
     def test_chunking_respects_batch_size(self):
         kernel = self._stream_kernel()
@@ -315,8 +336,10 @@ class TestGridBatching:
         launch = LaunchConfig(
             grid=(5, 1), block_threads=32, params={"buf": buf, "n": 5 * 32}
         )
-        sim = FunctionalSimulator(kernel, gmem=gmem, batched=True)
-        sim.grid_batch_blocks = 2  # force several chunks plus a tail
+        # Force several chunks plus a one-block tail.
+        sim = FunctionalSimulator(
+            kernel, gmem=gmem, batched=True, grid_batch_blocks=2
+        )
         traces = sim.run_blocks(launch, launch.all_blocks())
         assert [t.block for t in traces] == launch.all_blocks()
 
@@ -365,8 +388,7 @@ class TestVectorizedMemoryAnalysis:
         addresses = rng.integers(0, 8192, size=(3, 32)) * 4
         active = rng.random((3, 32)) < 0.8
         out = coalesce_warp_multi(
-            addresses, active, 4, sweep,
-            want_segments_at=0, totals_only=range(1, 3),
+            addresses, active, 4, sweep, want_segments_at=0
         )
         for i, config in enumerate(sweep):
             counts, nbytes, total_txns, total_bytes, segments = out[i]
@@ -377,12 +399,11 @@ class TestVectorizedMemoryAnalysis:
                 )
                 expected_txns += len(transactions)
                 expected_bytes += sum(t.size for t in transactions)
+                assert counts[w] == len(transactions)
+                assert nbytes[w] == sum(t.size for t in transactions)
             assert total_txns == expected_txns
             assert total_bytes == expected_bytes
-            if i == 0:
-                assert counts is not None and segments is not None
-            else:
-                assert counts is None and segments is None
+            assert (segments is not None) == (i == 0)
 
     def test_coalesce_unaligned_falls_back_to_scalar(self):
         addresses = np.array([[2, 6, 10, 14] + [0] * 28])

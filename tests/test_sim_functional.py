@@ -377,8 +377,9 @@ class TestStatistics:
 
 
 class TestReentrancy:
-    """run_block keeps all per-run state in a _BlockRun: interleaved or
-    nested runs on one simulator instance must not corrupt each other."""
+    """run_block keeps all per-run state in a per-run object (a one-block
+    slab, or the oracle's _BlockRun): interleaved or nested runs on one
+    simulator instance must not corrupt each other."""
 
     def _counting_kernel(self, iterations=5):
         b = KernelBuilder("count", params=("out",))

@@ -7,7 +7,7 @@ import pytest
 from repro.arch.specs import GTX285
 from repro.hw import HardwareGpu
 from repro.isa import Imm, KernelBuilder
-from repro.sim import FunctionalSimulator
+from repro.sim import FunctionalSimulator, LaunchConfig
 from repro.tune import (
     BUILTIN_DEFAULTS,
     new_profile,
@@ -18,6 +18,7 @@ from repro.tune import (
 from repro.util import spec_fingerprint
 
 SPEC_FP = spec_fingerprint(GTX285)
+LAUNCH = LaunchConfig(grid=(1, 1), block_threads=32)
 
 
 def _kernel():
@@ -48,14 +49,13 @@ class TestPrecedenceOrder:
 
     def test_env_beats_profile(self, monkeypatch, tmp_path):
         _save(monkeypatch, tmp_path, default_grid_batch_blocks=24)
-        monkeypatch.setenv("REPRO_GRID_BATCH_BLOCKS", "7")
+        monkeypatch.setenv("REPRO_TUNE_GRID_BATCH_BLOCKS", "7")
         value, source = resolve_with_source("grid_batch_blocks", spec=GTX285)
-        assert value == 7
-        assert source.startswith("env:")
+        assert (value, source) == (7, "env:REPRO_TUNE_GRID_BATCH_BLOCKS")
 
     def test_kwarg_beats_env_and_profile(self, monkeypatch, tmp_path):
         _save(monkeypatch, tmp_path, default_grid_batch_blocks=24)
-        monkeypatch.setenv("REPRO_GRID_BATCH_BLOCKS", "7")
+        monkeypatch.setenv("REPRO_TUNE_GRID_BATCH_BLOCKS", "7")
         value, source = resolve_with_source(
             "grid_batch_blocks", kwarg=4, spec=GTX285
         )
@@ -64,6 +64,12 @@ class TestPrecedenceOrder:
     def test_tune_env_spelling_works(self, monkeypatch):
         monkeypatch.setenv("REPRO_TUNE_GRID_BATCH_BLOCKS", "9")
         assert resolve("grid_batch_blocks", spec=GTX285) == 9
+
+    def test_one_env_spelling_per_parameter(self, monkeypatch):
+        # Only the REPRO_TUNE_ spelling is read.
+        monkeypatch.setenv("REPRO_GRID_BATCH_BLOCKS", "7")
+        value, source = resolve_with_source("grid_batch_blocks", spec=GTX285)
+        assert (value, source) == (BUILTIN_DEFAULTS["grid_batch_blocks"], "default")
 
     def test_min_parallel_events_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TUNE_MIN_PARALLEL_EVENTS", "123")
@@ -76,14 +82,14 @@ class TestPrecedenceOrder:
 
 class TestFailOpen:
     def test_invalid_env_warns_and_falls_through(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRID_BATCH_BLOCKS", "not-a-number")
+        monkeypatch.setenv("REPRO_TUNE_GRID_BATCH_BLOCKS", "not-a-number")
         with pytest.warns(RuntimeWarning):
             value = resolve("grid_batch_blocks", spec=GTX285)
         assert value == BUILTIN_DEFAULTS["grid_batch_blocks"]
 
     def test_invalid_env_falls_through_to_profile(self, monkeypatch, tmp_path):
         _save(monkeypatch, tmp_path, default_grid_batch_blocks=24)
-        monkeypatch.setenv("REPRO_GRID_BATCH_BLOCKS", "junk")
+        monkeypatch.setenv("REPRO_TUNE_GRID_BATCH_BLOCKS", "junk")
         with pytest.warns(RuntimeWarning):
             value, source = resolve_with_source(
                 "grid_batch_blocks", spec=GTX285
@@ -150,12 +156,13 @@ class TestConsumptionSites:
 
     def test_functional_simulator_consumes_profile(self, monkeypatch, tmp_path):
         _save(monkeypatch, tmp_path, default_grid_batch_blocks=13)
-        assert FunctionalSimulator(_kernel()).grid_batch_blocks == 13
+        sim = FunctionalSimulator(_kernel())
+        assert sim.grid_batch_blocks_for(LAUNCH) == 13
 
     def test_functional_simulator_kwarg_still_wins(self, monkeypatch, tmp_path):
         _save(monkeypatch, tmp_path, default_grid_batch_blocks=13)
         sim = FunctionalSimulator(_kernel(), grid_batch_blocks=4)
-        assert sim.grid_batch_blocks == 4
+        assert sim.grid_batch_blocks_for(LAUNCH) == 4
 
     def test_hardware_gpu_consumes_profile(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TUNE_DIR", str(tmp_path / "tune"))
@@ -176,7 +183,7 @@ class TestConsumptionSites:
         from repro.sim import SimulationEngine
 
         engine = SimulationEngine(_kernel(), grid_batch_blocks=3)
-        assert engine.simulator.grid_batch_blocks == 3
+        assert engine.simulator.grid_batch_blocks_for(LAUNCH) == 3
 
     def test_no_hardcoded_constants_at_consumption_sites(self):
         """The old magic numbers live only in repro.tune's defaults."""
@@ -187,12 +194,10 @@ class TestConsumptionSites:
 
         assert "50_000\n" not in inspect.getsource(gpu_mod.HardwareGpu)
         assert "50000" not in inspect.getsource(gpu_mod.HardwareGpu)
-        # Slab resolution moved out of __init__ into the per-launch
-        # grid_batch_blocks_for (and the launch-free property).
-        for accessor in (
-            functional_mod.FunctionalSimulator.grid_batch_blocks.fget,
-            functional_mod.FunctionalSimulator.grid_batch_blocks_for,
-        ):
-            source = inspect.getsource(accessor)
-            assert "= 32" not in source
-            assert "tune_resolve" in source
+        # Slab resolution lives in the per-launch grid_batch_blocks_for,
+        # the width's only reader.
+        source = inspect.getsource(
+            functional_mod.FunctionalSimulator.grid_batch_blocks_for
+        )
+        assert "= 32" not in source
+        assert "tune_resolve" in source
