@@ -50,7 +50,7 @@ session -- CI uploads it as the ``obs-trace`` artifact and renders
 ``repro obs report --markdown`` into the job summary.
 
 A seventh gate covers *calibration*: the full GT200 microbenchmark
-sweep (every Fig. 2 point as one batch of cluster jobs) runs serially
+sweep (every Fig. 2 point as one batch of one-SM jobs) runs serially
 and across a two-worker pool.  Both tables must hash to the recorded
 ``CALIBRATION_SHA256``; the seconds and simulated events per second of
 each run are recorded so the trend reporter tracks the sweep.
@@ -145,7 +145,7 @@ CHAOS_DIMS = (4, 4, 4, 4)
 #: (``calibrate(HardwareGpu()).to_json()``): any change to the timing
 #: simulator's scheduling must leave every table byte unchanged.
 CALIBRATION_SHA256 = (
-    "85b0c16b9bd776722570666cc5b25098bd81acac5d063e75bbde06f41ce66efc"
+    "147f61b9d4d9e8865c61c22f6e865e8cb45f0465388279363de4159846aa76e9"
 )
 
 #: Pool width of the calibration gate's parallel run.

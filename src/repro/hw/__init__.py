@@ -10,7 +10,6 @@ from repro.hw.config import (
     issue_intervals,
 )
 from repro.hw.engine import (
-    HW_CACHE_VERSION,
     MeasuredRunCache,
     simulate_clusters,
     stream_digest,
@@ -22,7 +21,6 @@ __all__ = [
     "ClusterResult",
     "ClusterSimulator",
     "DEFAULT_HW",
-    "HW_CACHE_VERSION",
     "HardwareGpu",
     "HwConfig",
     "MeasuredRun",

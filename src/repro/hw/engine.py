@@ -12,7 +12,7 @@ pipeline.  This module supplies the mechanisms that removed it:
   order so the parallel reduction is bit-identical to a serial loop of
   independent simulations;
 * :class:`MeasuredRunCache` memoizes whole :class:`~repro.hw.gpu
-  .MeasuredRun` results on disk, keyed by the hardware version, the
+  .MeasuredRun` results on disk, keyed by the package's source digest, the
   launch's class-signature table, the architecture spec, the timing
   configuration and the resident-block count -- so benchmark harnesses
   replay Fig. 3/4/11/12-scale measurements instantly.
@@ -37,16 +37,10 @@ from repro.sim.trace import stream_digest
 from repro.util import VersionedPickleCache
 
 __all__ = [
-    "HW_CACHE_VERSION",
     "MeasuredRunCache",
     "simulate_clusters",
     "stream_digest",
 ]
-
-#: Bump when timing semantics or MeasuredRun's schema change: a stale
-#: memoized measurement must never masquerade as current silicon.
-#: v2: MeasuredRun carries a ``health`` degradation record.
-HW_CACHE_VERSION = 2
 
 #: One timing job: per-SM block queues plus the residency limit.
 ClusterJob = tuple  # (sm_queues, resident_per_sm)
@@ -171,7 +165,7 @@ class MeasuredRunCache(VersionedPickleCache):
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
-        super().__init__(directory, HW_CACHE_VERSION, ".run.pkl")
+        super().__init__(directory, ".run.pkl")
 
     def load(self, key: str):
         from repro.hw.gpu import MeasuredRun

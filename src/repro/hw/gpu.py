@@ -23,6 +23,10 @@ results byte-identical to simulating each alone.  The groups fan out
 across the shared process pool (:mod:`repro.pool`), and whole
 measurements are memoized on disk
 (:class:`repro.hw.engine.MeasuredRunCache`).
+
+Microbenchmark points (:meth:`HardwareGpu.measure_uniform_sm`) time a
+single SM instead: with no global memory traffic the SMs of a cluster
+share nothing, so one SM's run is exactly what each of them would do.
 """
 
 from __future__ import annotations
@@ -34,15 +38,11 @@ from repro.arch.specs import GpuSpec, GTX285
 from repro.errors import HardwareModelError
 from repro.hw.cluster import BlockWork, ClusterResult
 from repro.hw.config import HwConfig, config_fingerprint
-from repro.hw.engine import (
-    HW_CACHE_VERSION,
-    MeasuredRunCache,
-    simulate_clusters,
-)
+from repro.hw.engine import MeasuredRunCache, simulate_clusters
 from repro.pool import HealthRecord, PoolHealth
-from repro.sim.trace import BlockTrace
+from repro.sim.trace import EV_GLOBAL_LD, EV_GLOBAL_ST, BlockTrace
 from repro.tune import resolve as tune_resolve
-from repro.util import spec_fingerprint
+from repro.util import source_digest, spec_fingerprint
 
 
 @dataclass(frozen=True)
@@ -125,40 +125,54 @@ class HardwareGpu:
         )
 
     # ------------------------------------------------------------------
-    # microbenchmark-style measurement: identical SMs, one cluster
+    # microbenchmark-style measurement: one SM
     # ------------------------------------------------------------------
     def measure_uniform_sm(
         self,
         points: list[list[BlockWork]],
         resident_per_sm: int,
-        use_cache: bool = False,
     ) -> list[ClusterResult]:
-        """Time one cluster per point, its SMs all running that queue.
+        """Time one SM per point, running that point's block queue.
 
         ``points`` are per-SM block queues, e.g. the points of a
         microbenchmark sweep; the results come back in the same order.
-        Each point is an independent cluster job: they fan out over
-        ``workers`` like a measurement's clusters, largest first so the
-        pool stays balanced.
+        One SM stands for every SM of the GPU, as in the paper's Fig. 2
+        microbenchmarks: the SMs of a cluster share only its memory
+        pipeline, so a point without global memory events runs on each
+        of them exactly as it runs alone.  Points with global loads or
+        stores are refused (:class:`HardwareModelError`).  Each point is
+        an independent job: they fan out over ``workers`` like a
+        measurement's clusters, largest first so the pool stays
+        balanced.
         """
+        streams = {
+            id(stream): stream
+            for queue in points
+            for work in queue
+            for stream in work
+        }
+        if any(
+            event[0] == EV_GLOBAL_LD or event[0] == EV_GLOBAL_ST
+            for stream in streams.values()
+            for event in stream
+        ):
+            raise HardwareModelError(
+                "uniform-SM points must not access global memory: the "
+                "SMs of a cluster share its memory pipeline, so one SM "
+                "cannot stand for them"
+            )
         sizes = [
             sum(len(stream) for work in queue for stream in work)
             for queue in points
         ]
         order = sorted(range(len(points)), key=lambda i: -sizes[i])
-        jobs = [
-            (
-                [list(points[i]) for _ in range(self.spec.sms_per_cluster)],
-                resident_per_sm,
-            )
-            for i in order
-        ]
+        jobs = [([list(points[i])], resident_per_sm) for i in order]
         results = simulate_clusters(
             jobs,
             self.spec,
             self.config,
-            use_cache,
-            self._effective_workers(jobs),
+            use_cache=False,  # without global loads it never engages
+            workers=self._effective_workers(jobs),
             task_timeout=self.task_timeout,
             points=len(jobs),
         )
@@ -382,7 +396,7 @@ class HardwareGpu:
         bit-identical to serial ones, so any width may share an entry.
         """
         h = hashlib.sha256()
-        h.update(f"hw-v{HW_CACHE_VERSION};".encode())
+        h.update(f"hw-{source_digest()};".encode())
         h.update(spec_fingerprint(self.spec).encode())
         h.update(config_fingerprint(self.config).encode())
         h.update(

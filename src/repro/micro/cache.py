@@ -10,7 +10,8 @@ ad-hoc what-if specs alike -- gets its own
 ``calibration-<name-or-fingerprint>.json`` file, so sweeping the
 registry (``repro specs crossval``) never thrashes one shared file.
 Override the cache root with ``REPRO_CACHE_DIR``; entries are
-invalidated whenever the spec fingerprint or sweep parameters change.
+invalidated whenever the spec fingerprint, the sweep parameters or the
+package's source (:func:`repro.util.source_digest`) change.
 """
 
 from __future__ import annotations
@@ -22,15 +23,12 @@ from pathlib import Path
 from repro.arch.registry import registered_name
 from repro.arch.specs import GTX285, GpuSpec
 from repro.hw.gpu import HardwareGpu
-from repro.micro.calibration import (
-    CALIBRATION_CACHE_VERSION,
-    CalibrationTables,
-    calibrate,
-)
+from repro.micro.calibration import CalibrationTables, calibrate
 from repro.micro.instruction import warp_counts_for
 from repro.util import (
     CACHE_DIR_ENV,
     atomic_write_bytes,
+    source_digest,
     spec_fingerprint,
 )
 from repro.util import default_cache_dir as _default_cache_root
@@ -142,7 +140,7 @@ def save_calibration(
     sweep: list,
 ) -> None:
     payload = {
-        "version": CALIBRATION_CACHE_VERSION,
+        "version": source_digest(),
         "spec": fingerprint,
         "sweep": sweep,
         "tables": json.loads(tables.to_json()),
@@ -159,7 +157,7 @@ def _try_load(
         return None
     if not isinstance(payload, dict):
         return None
-    if payload.get("version") != CALIBRATION_CACHE_VERSION:
+    if payload.get("version") != source_digest():
         return None
     if payload.get("spec") != fingerprint or payload.get("sweep") != sweep:
         return None

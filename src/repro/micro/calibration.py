@@ -1,8 +1,11 @@
 """Calibration tables: the microbenchmark observations the model uses.
 
 Running all microbenchmarks once yields the throughput curves of Fig. 2
-and a memoized synthetic-benchmark oracle for global memory.  Tables can
-be saved/loaded as JSON so benchmark harnesses do not re-calibrate.
+and a memoized synthetic-benchmark oracle for global memory.  Like the
+paper's, each Fig. 2 point measures one SM as a function of its resident
+warps (:meth:`repro.hw.gpu.HardwareGpu.measure_uniform_sm`); the
+per-SM rate scales to the whole GPU by ``num_sms``.  Tables can be
+saved/loaded as JSON so benchmark harnesses do not re-calibrate.
 """
 
 from __future__ import annotations
@@ -22,10 +25,7 @@ from repro.micro.instruction import (
     warp_counts_for,
 )
 from repro.micro.shared import SharedBandwidthTable, shared_points
-from repro.util import spec_fingerprint
-
-#: Bump when the on-disk calibration file schema changes.
-CALIBRATION_CACHE_VERSION = 1
+from repro.util import source_digest, spec_fingerprint
 
 
 @dataclass
@@ -95,13 +95,14 @@ class CalibrationTables:
                 # Spec-keyed cache files (repro.micro.cache) wrap the
                 # tables in {version, spec, sweep, tables}; accept them
                 # so --calibration can point at the default cache, but
-                # only when the schema version matches and the tables
-                # were measured for the spec being modelled.
-                if payload.get("version") != CALIBRATION_CACHE_VERSION:
+                # only when they were written by this source (version
+                # is its source digest) and measured for the spec being
+                # modelled.
+                if payload.get("version") != source_digest():
                     raise CalibrationError(
                         "calibration cache file has schema version "
                         f"{payload.get('version')!r}, expected "
-                        f"{CALIBRATION_CACHE_VERSION}; recalibrate"
+                        f"{source_digest()}; recalibrate"
                     )
                 if gpu is not None and payload.get(
                     "spec"
@@ -159,7 +160,7 @@ def calibrate(
     gpu = gpu or HardwareGpu()
     if warp_counts is None:
         warp_counts = warp_counts_for(gpu.spec)
-    # Every sweep point is an independent cluster job: one batch lets
+    # Every sweep point is an independent one-SM job: one batch lets
     # them all share the timing layer's pool (``gpu.workers``).
     inst_points, inst_table = instruction_points(
         gpu.spec, warp_counts, iterations=iterations

@@ -11,10 +11,10 @@ four files next to each other in the output directory:
   parallel swimlanes under the main track;
 * ``metrics.json`` -- the counter/gauge/histogram registry snapshot;
 * ``manifest.json`` -- run provenance: command line, spec fingerprints
-  and cache versions, tuning provenance, git describe, the active fault
-  plan, interpreter/platform, wall-clock timestamps, and ``wall_ms``
-  (recorder start to export, the denominator of the report's
-  ``unattributed`` row).
+  and the source digest that versions every cache, tuning provenance,
+  git describe, the active fault plan, interpreter/platform, wall-clock
+  timestamps, and ``wall_ms`` (recorder start to export, the denominator
+  of the report's ``unattributed`` row).
 
 Every manifest section is assembled fail-open (a missing git binary or
 an unreadable tuning profile yields ``null``, never a crashed run), and
@@ -30,9 +30,10 @@ import sys
 import time
 
 from repro.obs.core import Recorder
+from repro.util import source_digest
 
 #: Manifest schema stamp.
-MANIFEST_SCHEMA = "obs_manifest/1"
+MANIFEST_SCHEMA = "obs_manifest/2"
 
 #: Chrome trace process id (single logical process per run).
 _PID = 1
@@ -154,35 +155,6 @@ def _git_describe() -> str | None:
     return text if result.returncode == 0 and text else None
 
 
-def _cache_versions() -> dict:
-    versions: dict = {}
-    try:
-        from repro.sim.engine import ENGINE_CACHE_VERSION
-
-        versions["engine"] = ENGINE_CACHE_VERSION
-    except Exception:
-        versions["engine"] = None
-    try:
-        from repro.hw.engine import HW_CACHE_VERSION
-
-        versions["hw"] = HW_CACHE_VERSION
-    except Exception:
-        versions["hw"] = None
-    try:
-        from repro.micro.calibration import CALIBRATION_CACHE_VERSION
-
-        versions["calibration"] = CALIBRATION_CACHE_VERSION
-    except Exception:
-        versions["calibration"] = None
-    try:
-        from repro.tune.profile import TUNE_PROFILE_VERSION
-
-        versions["tune"] = TUNE_PROFILE_VERSION
-    except Exception:
-        versions["tune"] = None
-    return versions
-
-
 def _tuning_provenance() -> dict | None:
     """Resolved engine knobs and where each value came from."""
     try:
@@ -239,7 +211,7 @@ def build_manifest(
         "platform": platform.platform(),
         "machine": _machine(),
         "git_describe": _git_describe(),
-        "cache_versions": _cache_versions(),
+        "source_digest": source_digest(),
         "tuning": _tuning_provenance(),
         "fault_plan": _fault_plan(),
         "annotations": dict(sorted(recorder.annotations.items())),

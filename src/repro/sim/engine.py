@@ -57,7 +57,7 @@ from repro.isa.program import Kernel
 from repro.pool import HealthRecord, PoolHealth, map_tasks
 from repro.sim.functional import FunctionalSimulator, LaunchConfig
 from repro.sim.memory import GlobalMemory
-from repro.util import VersionedPickleCache, spec_fingerprint
+from repro.util import VersionedPickleCache, source_digest, spec_fingerprint
 from repro.sim.trace import (
     BlockTrace,
     KernelTrace,
@@ -65,36 +65,6 @@ from repro.sim.trace import (
     aggregate_weighted,
     intern_stage_strings,
 )
-
-#: Bump when trace or aggregation semantics change: invalidates caches.
-#: v2: BlockTrace carries global load/store footprints (RAW check).
-#: v3: footprints are bounded interval lists (not single hulls), and
-#: barrier-free grids run through the multi-block batched interpreter
-#: (cross-block write visibility changed for racy kernels).
-#: v4: barrier-synchronized grids batch too (per-block barrier release
-#: inside one slab), so cross-block write visibility changed for racy
-#: *barriered* kernels, and the slab width (grid_batch_blocks) joined
-#: the key.
-#: v5: the static dedup soundness proof can skip verifier probes
-#: (the verification mode joined the key) and class members are
-#: canonically sorted, so stats like ``simulated_blocks`` changed for
-#: proved grids.  The mode knob was later removed (proof first, probes
-#: only for refused classes); dropping it from the key changed the key
-#: bytes, so that needed no bump.
-#: v6: covered dedup classes synthesize their representative trace in
-#: closed form instead of interpreting it (the trace mode joined the
-#: key), so ``simulated_blocks``/``synthesized_classes`` changed for
-#: affine grids; the slab width resolves per launch from the launch's
-#: warps-per-block.
-#: v7: EngineStats carries a ``health`` degradation record
-#: (:class:`repro.pool.HealthRecord`), so cached stats gained a field.
-#: v8: coalescing takes its max-segment ceiling from the spec instead
-#: of a hardcoded 128 B, so traces of specs with other ceilings
-#: (registered architecture generations) changed.
-#: v9: symbolic trace synthesis is gone (the trace mode left the key),
-#: so every class's representative is interpreted and cached stats of
-#: affine grids count it in ``simulated_blocks``.
-ENGINE_CACHE_VERSION = 9
 
 #: Taint bits.
 TAINT_BLOCK = 1  # value depends on the block coordinates (ctaid)
@@ -436,7 +406,7 @@ class TraceCache(VersionedPickleCache):
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
-        super().__init__(directory, ENGINE_CACHE_VERSION, ".trace.pkl")
+        super().__init__(directory, ".trace.pkl")
 
     def load(self, key: str) -> KernelTrace | None:
         trace = self.load_payload(key)
@@ -1009,7 +979,7 @@ class SimulationEngine:
         dedup: bool,
     ) -> str:
         h = hashlib.sha256()
-        h.update(f"engine-v{ENGINE_CACHE_VERSION};".encode())
+        h.update(f"engine-{source_digest()};".encode())
         h.update(kernel_fingerprint(self.kernel).encode())
         h.update(repr(_launch_key(launch)).encode())
         h.update(spec_fingerprint(self.spec).encode())

@@ -29,7 +29,6 @@ from repro.tune.profile import (
     ENV_OVERRIDES,
     PARAM_FLOORS,
     TUNE_DIR_ENV,
-    TUNE_PROFILE_VERSION,
     TuneProfileCache,
     TuningProfile,
     default_tune_dir,
@@ -54,7 +53,6 @@ __all__ = [
     "PARAM_FLOORS",
     "TUNE_AUTO_ENV",
     "TUNE_DIR_ENV",
-    "TUNE_PROFILE_VERSION",
     "TuneProfileCache",
     "TuningProfile",
     "autotune",

@@ -23,10 +23,10 @@ correctness (both knobs are pure schedule choices; results are
 bit-identical at any setting).
 
 Profiles ride the same :class:`repro.util.VersionedPickleCache`
-protocol as the trace and measured-run caches: versioned payloads,
-fail-open loads, atomic stores followed by ``$REPRO_CACHE_MAX_BYTES``
-LRU eviction.  This module depends only on :mod:`repro.util` so the
-simulators can import it without cycles.
+protocol as the trace and measured-run caches: payloads versioned by
+the package's source digest, fail-open loads, atomic stores followed by
+``$REPRO_CACHE_MAX_BYTES`` LRU eviction.  This module depends only on
+:mod:`repro.util` so the simulators can import it without cycles.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ import warnings
 from dataclasses import dataclass, field
 
 from repro.util import VersionedPickleCache, default_cache_dir
-
-#: Bump when the profile schema or the tuners' semantics change: stale
-#: profiles must be ignored, never misread.
-TUNE_PROFILE_VERSION = 1
 
 #: Environment variable overriding the profile directory (tests, CI).
 TUNE_DIR_ENV = "REPRO_TUNE_DIR"
@@ -166,14 +162,14 @@ class TuningProfile:
 class TuneProfileCache(VersionedPickleCache):
     """Pickled :class:`TuningProfile` store (one file per machine+spec).
 
-    Shared mechanics -- versioned payloads so stale-schema profiles are
-    ignored, fail-open loads, atomic stores under the
-    ``$REPRO_CACHE_MAX_BYTES`` LRU budget -- come from
+    Shared mechanics -- payloads versioned by the source digest, so
+    profiles written by other code are ignored, fail-open loads, atomic
+    stores under the ``$REPRO_CACHE_MAX_BYTES`` LRU budget -- come from
     :class:`repro.util.VersionedPickleCache`.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
-        super().__init__(directory, TUNE_PROFILE_VERSION, ".tune.pkl")
+        super().__init__(directory, ".tune.pkl")
 
     def load(self, key: str) -> TuningProfile | None:
         profile = self.load_payload(key)

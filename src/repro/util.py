@@ -51,6 +51,38 @@ def spec_fingerprint(spec) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+_SOURCE_DIGEST: str | None = None
+
+
+def source_digest() -> str:
+    """sha256 over the relative path and bytes of every ``*.py`` file
+    of the installed :mod:`repro` package.
+
+    The version of every on-disk cache (traces, measured runs,
+    calibration tables, tuning profiles): any source change -- a
+    revision of the timing simulator's reality included -- invalidates
+    them all, so no hand-bumped constant can be forgotten.  Imports
+    nothing; computed on first use and memoized per process.
+    """
+    global _SOURCE_DIGEST
+    if _SOURCE_DIGEST is None:
+        root = os.path.dirname(os.path.abspath(__file__))
+        h = hashlib.sha256()
+        for dirpath, dirnames, filenames in os.walk(root):
+            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+            for name in sorted(filenames):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                with open(path, "rb") as handle:
+                    data = handle.read()
+                relative = os.path.relpath(path, root).replace(os.sep, "/")
+                h.update(f"{relative}\0{len(data)}\0".encode())
+                h.update(data)
+        _SOURCE_DIGEST = h.hexdigest()
+    return _SOURCE_DIGEST
+
+
 def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> bool:
     """Atomically write ``data`` to ``path`` via a same-directory temp
     file and :func:`os.replace`, failing open on filesystem errors.
@@ -92,11 +124,11 @@ class VersionedPickleCache:
     """Shared protocol of the on-disk pickle caches.
 
     One implementation of the rules every cache directory follows --
-    versioned dict payloads, fail-open loads that refresh mtime for LRU
-    ordering, atomic stores followed by :func:`evict_lru`, quarantine of
-    corrupt entries -- so the trace and measured-run caches cannot drift
-    apart.  Subclasses pass their version constant and file suffix, and
-    type-check the loaded value.
+    dict payloads versioned by :func:`source_digest`, fail-open loads
+    that refresh mtime for LRU ordering, atomic stores followed by
+    :func:`evict_lru`, quarantine of corrupt entries -- so the trace,
+    measured-run and tuning-profile caches cannot drift apart.
+    Subclasses pass their file suffix and type-check the loaded value.
 
     Degradation counters (read by the health telemetry): ``quarantines``
     counts corrupt entries renamed to ``*.corrupt``; ``write_errors``
@@ -104,10 +136,9 @@ class VersionedPickleCache:
     """
 
     def __init__(
-        self, directory: str | os.PathLike, version, suffix: str = ".pkl"
+        self, directory: str | os.PathLike, suffix: str = ".pkl"
     ) -> None:
         self.directory = os.fspath(directory)
-        self.version = version
         self.suffix = suffix
         self.quarantines = 0
         self.write_errors = 0
@@ -146,8 +177,9 @@ class VersionedPickleCache:
 
         Unpickling arbitrary bytes can raise nearly anything; a broken
         entry is quarantined and reported as a miss, never a crash.  A
-        well-formed entry of a different version is a plain miss (it is
-        valid data for older code, and the next store overwrites it).
+        well-formed entry written under another :func:`source_digest` is
+        a plain miss (it is valid data for other code, and the next
+        store overwrites it).
         """
         from repro import faults
 
@@ -169,7 +201,7 @@ class VersionedPickleCache:
             self._quarantine(path)
             self._metric("misses")
             return None
-        if payload.get("version") != self.version:
+        if payload.get("version") != source_digest():
             self._metric("misses")
             return None
         value = payload.get("value")
@@ -186,7 +218,7 @@ class VersionedPickleCache:
     def store_payload(self, key: str, value) -> None:
         """Atomically persist ``value``; fail open, then enforce the
         directory's size budget without evicting the fresh entry."""
-        payload = {"version": self.version, "value": value}
+        payload = {"version": source_digest(), "value": value}
         path = self._path(key)
         if atomic_write_bytes(
             path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)

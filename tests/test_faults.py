@@ -211,7 +211,7 @@ class TestPoolSelfHealing:
 
 class TestCacheQuarantine:
     def _cache(self, tmp_path):
-        return VersionedPickleCache(tmp_path, version=1, suffix=".pkl")
+        return VersionedPickleCache(tmp_path, suffix=".pkl")
 
     def test_corrupt_entry_is_quarantined_once(self, tmp_path):
         cache = self._cache(tmp_path)
@@ -227,10 +227,11 @@ class TestCacheQuarantine:
         assert cache.load_payload("key") is None
         assert cache.quarantines == 1
 
-    def test_version_mismatch_is_a_plain_miss(self, tmp_path):
+    def test_version_mismatch_is_a_plain_miss(self, tmp_path, monkeypatch):
         cache = self._cache(tmp_path)
         cache.store_payload("key", {"answer": 42})
-        newer = VersionedPickleCache(tmp_path, version=2, suffix=".pkl")
+        monkeypatch.setattr("repro.util._SOURCE_DIGEST", "newer source")
+        newer = VersionedPickleCache(tmp_path, suffix=".pkl")
         assert newer.load_payload("key") is None
         assert newer.quarantines == 0
         assert (tmp_path / "key.pkl").exists()  # valid data for old code

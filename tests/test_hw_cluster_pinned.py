@@ -145,7 +145,7 @@ def test_texture_cache_case_hits_and_misses():
 #: sha256 of ``calibrate(HardwareGpu(...), warp_counts=(1, 6, 16, 32),
 #: iterations=20).to_json()``.
 REDUCED_SWEEP_SHA256 = (
-    "46cff31064b6586eee450c0fb55cb6127f6c778f09e5f6283167d679a35ced7f"
+    "355726f75b675eaa6044eb741cbd79bb240e4504bf8864455434c4088a189ed7"
 )
 
 

@@ -1,11 +1,16 @@
 """Whole-GPU measurement: distribution, waves, sawtooth."""
 
+import pickle
+
 import pytest
 
+from repro.arch.specs import GTX285
 from repro.errors import HardwareModelError
-from repro.hw import HardwareGpu
+from repro.hw import ClusterSimulator, HardwareGpu
 from repro.hw.gpu import HardwareGpu as _Gpu
-from repro.sim.trace import BlockTrace, EV_ARITH, EV_GLOBAL_LD
+from repro.micro.instruction import SWEEP_RESIDENT_BLOCKS, instruction_points
+from repro.micro.shared import shared_points
+from repro.sim.trace import BlockTrace, EV_ARITH, EV_GLOBAL_LD, EV_GLOBAL_ST
 
 
 def block_trace(stream, warps=2):
@@ -99,6 +104,17 @@ class TestMeasurement:
         (result,) = gpu.measure_uniform_sm([[[stream] * 4]], resident_per_sm=8)
         assert result.cycles > 0
 
+    @pytest.mark.parametrize("kind", [EV_GLOBAL_LD, EV_GLOBAL_ST])
+    def test_measure_uniform_sm_refuses_global_memory(self, kind):
+        # One SM stands for its cluster only while the SMs share no
+        # resource; global traffic would share the memory pipeline.
+        arith = [(EV_ARITH, 1, 1, 0, None)] * 8
+        memory = arith + [(kind, 0, 2, 128, None)]
+        with pytest.raises(HardwareModelError, match="global memory"):
+            HardwareGpu().measure_uniform_sm(
+                [[[arith] * 2], [[arith, memory]]], resident_per_sm=8
+            )
+
     def test_milliseconds_property(self):
         gpu = HardwareGpu()
         run = gpu.measure(arith_block(), 1, 1)
@@ -132,3 +148,28 @@ class TestExtrapolatedCacheStats:
         run = HardwareGpu().measure(arith_block(60), 300, 2)
         assert run.extrapolated
         assert run.cache_hit_rate == 0.0
+
+
+class TestOneSmCalibrationPoints:
+    def test_points_time_exactly_one_sm(self):
+        # Reduced Fig. 2 sweep: every point is byte-identical to one SM
+        # simulated alone, and the old three-SM run of the same queue
+        # repeats its events three times and is never faster.
+        warps = (1, 6, 16, 32)
+        inst, _ = instruction_points(GTX285, warps, iterations=10)
+        smem, _ = shared_points(GTX285, warps, iterations=10)
+        points = inst + smem
+        results = HardwareGpu().measure_uniform_sm(
+            points, SWEEP_RESIDENT_BLOCKS
+        )
+        for queue, result in zip(points, results, strict=True):
+            alone = ClusterSimulator().run(
+                [list(queue)], SWEEP_RESIDENT_BLOCKS
+            )
+            assert pickle.dumps(result) == pickle.dumps(alone)
+            cluster = ClusterSimulator().run(
+                [list(queue) for _ in range(GTX285.sms_per_cluster)],
+                SWEEP_RESIDENT_BLOCKS,
+            )
+            assert cluster.events == GTX285.sms_per_cluster * result.events
+            assert cluster.cycles >= result.cycles

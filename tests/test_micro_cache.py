@@ -14,6 +14,7 @@ from repro.micro.cache import (
     load_or_calibrate,
     spec_fingerprint,
 )
+from repro.util import source_digest
 
 WARPS = (1, 4, 32)
 
@@ -130,6 +131,16 @@ class TestLoadOrCalibrate:
         assert len(counted_calibrate) == 1
         assert not path.exists()
 
+    def test_cache_from_other_source_recalibrates(
+        self, tmp_path, monkeypatch, counted_calibrate
+    ):
+        path = tmp_path / "calibration.json"
+        gpu = HardwareGpu()
+        load_or_calibrate(gpu, path=path, warp_counts=WARPS, iterations=10)
+        monkeypatch.setattr("repro.util._SOURCE_DIGEST", "other source")
+        load_or_calibrate(gpu, path=path, warp_counts=WARPS, iterations=10)
+        assert len(counted_calibrate) == 2
+
     def test_cached_payload_is_versioned_and_keyed(self, tmp_path):
         path = tmp_path / "calibration.json"
         load_or_calibrate(
@@ -138,6 +149,7 @@ class TestLoadOrCalibrate:
         payload = json.loads(path.read_text())
         assert payload["spec"] == spec_fingerprint(GTX285)
         assert payload["sweep"] == [list(WARPS), 10]
+        assert payload["version"] == source_digest()
 
     def test_cache_file_loads_as_explicit_calibration(self, tmp_path):
         # `--calibration` pointing at the default cache file must work:
@@ -172,7 +184,7 @@ class TestLoadOrCalibrate:
         with pytest.raises(CalibrationError, match="different architecture"):
             CalibrationTables.load(path, gpu=HardwareGpu())
 
-        payload["version"] = 999
+        payload["version"] = "other-" + payload["version"]
         path.write_text(json.dumps(payload))
         with pytest.raises(CalibrationError, match="schema version"):
             CalibrationTables.load(path, gpu=HardwareGpu())

@@ -394,9 +394,9 @@ class TestExportAndReport:
         assert manifest["command"] == "matmul"
         assert manifest["argv"] == ["matmul", "--n", "64"]
         assert manifest["exit_status"] == 0
-        from repro.sim.engine import ENGINE_CACHE_VERSION
+        from repro.util import source_digest
 
-        assert manifest["cache_versions"]["engine"] == ENGINE_CACHE_VERSION
+        assert manifest["source_digest"] == source_digest()
         assert manifest["annotations"] == {"spec.gtx285": "fingerprint"}
         assert manifest["tuning"]["grid_batch_blocks"]["source"]
 

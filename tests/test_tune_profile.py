@@ -9,7 +9,6 @@ import pytest
 
 from repro.tune import (
     TUNE_DIR_ENV,
-    TUNE_PROFILE_VERSION,
     TuneProfileCache,
     TuningProfile,
     default_tune_dir,
@@ -19,7 +18,7 @@ from repro.tune import (
     profile_key,
     save_profile,
 )
-from repro.util import CACHE_MAX_BYTES_ENV
+from repro.util import CACHE_MAX_BYTES_ENV, source_digest
 
 
 def _profile(spec_fp="spec-fp", **kwargs):
@@ -101,7 +100,7 @@ class TestStaleVersion:
     def test_stale_version_profiles_are_ignored(self, tmp_path):
         profile = _profile()
         key = profile_key(profile.machine, profile.spec)
-        payload = {"version": TUNE_PROFILE_VERSION - 1, "value": profile}
+        payload = {"version": "other-" + source_digest(), "value": profile}
         path = os.path.join(tmp_path, f"{key}.tune.pkl")
         with open(path, "wb") as handle:
             pickle.dump(payload, handle)
