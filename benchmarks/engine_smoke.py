@@ -512,10 +512,12 @@ class _CountingGpu(HardwareGpu):
 
     events = 0
 
-    def measure_uniform_sm(self, *args, **kwargs):
-        results = super().measure_uniform_sm(*args, **kwargs)
-        self.events += sum(r.events for r in results)
-        return results
+    def start_uniform_sm(self, *args, **kwargs):
+        def count(results):
+            self.events += sum(r.events for r in results)
+            return results
+
+        return super().start_uniform_sm(*args, **kwargs).then(count)
 
 
 def run_calibration() -> dict:

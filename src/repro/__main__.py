@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from repro.obs import log as obs_log
 from repro.sim.trace import TYPE_NAMES
@@ -88,15 +89,25 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+@contextmanager
 def _make_model(args):
+    """The case's timing simulator and model, for the ``with`` block.
+
+    A cold calibration is only started here: its one-SM jobs run on
+    the ``--workers`` pool while the block simulates the case, and the
+    model collects the tables when it first needs them.  Leaving the
+    block normally waits for the sweep (and caches it); leaving it by
+    an exception kills the sweep's pool.
+    """
     from repro.hw import HardwareGpu
-    from repro.micro import CalibrationTables, calibrate
+    from repro.micro import CalibrationTables, start_calibrate
     from repro.micro.cache import (
         default_calibration_path,
         default_measure_cache_dir,
-        load_or_calibrate,
+        start_load_or_calibrate,
     )
     from repro.model import PerformanceModel
+    from repro.pool import Pending
 
     # --workers governs every layer: the functional-simulation engine,
     # the timing simulator's cluster fan-out and the calibration sweep.  --no-cache likewise
@@ -113,11 +124,11 @@ def _make_model(args):
         task_timeout=getattr(args, "task_timeout", None),
     )
     if args.calibration:
-        tables = CalibrationTables.load(args.calibration, gpu=gpu)
+        tables = Pending.of(CalibrationTables.load(args.calibration, gpu=gpu))
         provenance = "file"
     elif getattr(args, "no_cache", False):
         obs_log.info("calibrating (cache disabled) ...")
-        tables = calibrate(gpu)
+        tables = start_calibrate(gpu)
         provenance = "cold"
     else:
         path = default_calibration_path(spec)
@@ -130,7 +141,7 @@ def _make_model(args):
                 path=str(path),
             )
 
-        tables = load_or_calibrate(
+        tables = start_load_or_calibrate(
             gpu, path=path, on_calibrate=on_calibrate
         )
         provenance = "cold" if ran else "hit"
@@ -138,14 +149,14 @@ def _make_model(args):
     # Stamped for the report's cache-provenance line (apps.common reads
     # it back when assembling PerformanceReport.cache_provenance).
     model.calibration_provenance = provenance
-    return gpu, model
+    with tables:
+        yield gpu, model
 
 
 def _engine_kwargs(args) -> dict:
     """Engine knobs shared by the case-study commands."""
     from repro.micro.cache import default_trace_cache_dir
 
-    _ensure_tuned(args)
     trace_cache = None
     if not getattr(args, "no_cache", False):
         trace_cache = str(default_trace_cache_dir())
@@ -154,27 +165,6 @@ def _engine_kwargs(args) -> dict:
         "trace_cache": trace_cache,
         "task_timeout": getattr(args, "task_timeout", None),
     }
-
-
-def _ensure_tuned(args) -> None:
-    """Self-populate the tuning profile before the first engine run.
-
-    Mirrors calibration's ``load_or_calibrate``: first use on a machine
-    measures once, every later run resolves against the persisted
-    profile.  ``--no-cache`` (nothing should persist) and
-    ``$REPRO_TUNE_AUTO=0`` skip the measurement.
-    """
-    from repro.tune import default_tune_dir, ensure_profile
-
-    ensure_profile(
-        spec=_resolve_spec(args),
-        dry_run=getattr(args, "no_cache", False),
-        on_tune=lambda: obs_log.info(
-            "measuring engine tuning parameters (profile will be "
-            f"cached at {default_tune_dir()}) ...",
-            directory=str(default_tune_dir()),
-        ),
-    )
 
 
 def _print_run(run) -> None:
@@ -217,16 +207,16 @@ def _run_as_json(run, **extra) -> str:
 def _cmd_matmul(args) -> int:
     from repro.apps.matmul import gflops, run_matmul
 
-    gpu, model = _make_model(args)
-    run = run_matmul(
-        args.n,
-        args.tile,
-        model=model,
-        gpu=gpu,
-        spec=_resolve_spec(args),
-        representative=not args.full,
-        **_engine_kwargs(args),
-    )
+    with _make_model(args) as (gpu, model):
+        run = run_matmul(
+            args.n,
+            args.tile,
+            model=model,
+            gpu=gpu,
+            spec=_resolve_spec(args),
+            representative=not args.full,
+            **_engine_kwargs(args),
+        )
     if args.json:
         print(_run_as_json(run, gflops=gflops(args.n, run.measured.seconds)))
         return 0
@@ -239,17 +229,17 @@ def _cmd_matmul(args) -> int:
 def _cmd_tridiag(args) -> int:
     from repro.apps.tridiag import run_cr
 
-    gpu, model = _make_model(args)
-    run = run_cr(
-        args.n,
-        args.systems,
-        padded=args.padded,
-        model=model,
-        gpu=gpu,
-        spec=_resolve_spec(args),
-        representative=not args.full,
-        **_engine_kwargs(args),
-    )
+    with _make_model(args) as (gpu, model):
+        run = run_cr(
+            args.n,
+            args.systems,
+            padded=args.padded,
+            model=model,
+            gpu=gpu,
+            spec=_resolve_spec(args),
+            representative=not args.full,
+            **_engine_kwargs(args),
+        )
     if args.json:
         print(_run_as_json(run))
         return 0
@@ -260,21 +250,23 @@ def _cmd_tridiag(args) -> int:
 
 
 def _cmd_spmv(args) -> int:
+    from repro import obs
     from repro.apps.matrices import qcd_like
     from repro.apps.spmv import gflops, run_spmv
 
-    gpu, model = _make_model(args)
-    matrix = qcd_like()
-    run = run_spmv(
-        matrix,
-        args.format,
-        model=model,
-        gpu=gpu,
-        spec=_resolve_spec(args),
-        use_cache=args.cache,
-        sample_blocks=None if args.full else 12,
-        **_engine_kwargs(args),
-    )
+    with _make_model(args) as (gpu, model):
+        with obs.span("apps.inputs"):
+            matrix = qcd_like()
+        run = run_spmv(
+            matrix,
+            args.format,
+            model=model,
+            gpu=gpu,
+            spec=_resolve_spec(args),
+            use_cache=args.cache,
+            sample_blocks=None if args.full else 12,
+            **_engine_kwargs(args),
+        )
     if args.json:
         print(_run_as_json(run, gflops=gflops(matrix, run.measured.seconds)))
         return 0
@@ -496,7 +488,6 @@ def _cmd_specs_crossval(args) -> int:
     from repro.micro.cache import default_trace_cache_dir
     from repro.model.crossval import cross_validate
 
-    _ensure_tuned(args)
     trace_cache = None
     if not args.no_cache:
         trace_cache = str(default_trace_cache_dir())

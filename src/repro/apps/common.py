@@ -72,7 +72,7 @@ def _cache_provenance(
 
     ``calibration`` only appears when the model carries provenance
     (:mod:`repro.__main__` stamps ``calibration_provenance`` when it
-    builds the model around :func:`repro.micro.load_or_calibrate`).
+    builds the model around :func:`repro.micro.start_load_or_calibrate`).
     """
     provenance: dict = {}
     stats = getattr(trace, "engine_stats", None)
@@ -164,10 +164,6 @@ def execute(
         resources = kernel_resources(kernel, launch)
         occupancy = compute_occupancy(spec, resources)
 
-        report = None
-        if model is not None:
-            report = model.analyze(trace, launch, resources)
-
         measured = None
         if measure:
             # The default timing simulator shares the engine's pool
@@ -183,6 +179,13 @@ def execute(
                 resident_per_sm=occupancy.blocks_per_sm,
                 use_cache=use_cache,
             )
+
+        # Analyzed last: a model whose calibration is still sweeping on
+        # the pool (see repro.__main__) collects it here, after the
+        # simulations above have run alongside it.
+        report = None
+        if model is not None:
+            report = model.analyze(trace, launch, resources)
 
     if report is not None:
         report = dataclasses.replace(

@@ -198,8 +198,11 @@ def run_matmul(
     exact.  ``representative=False`` covers the full grid through the
     deduplicating engine (exact multiplicities, no extrapolation).
     """
-    problem = prepare_problem(n, tile, seed)
-    kernel = build_matmul_kernel(n, tile)
+    from repro import obs
+
+    with obs.span("apps.inputs"):
+        problem = prepare_problem(n, tile, seed)
+        kernel = build_matmul_kernel(n, tile)
     sample = [(0, 0)] if representative else None
     return execute(
         name=f"sgemm {tile}x{tile} (n={n})",

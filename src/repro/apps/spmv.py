@@ -261,8 +261,11 @@ def run_spmv(
     benchmarks default to exact grids (``sample_blocks=None``) now that
     parallel full grids are cheap, keeping ``--sample`` as an opt-in.
     """
-    problem = prepare_problem(matrix, fmt, seed)
-    kernel = build_kernel_for(problem)
+    from repro import obs
+
+    with obs.span("apps.inputs"):
+        problem = prepare_problem(matrix, fmt, seed)
+        kernel = build_kernel_for(problem)
     launch = problem.launch()
     sample = (
         evenly_spaced_blocks(launch, sample_blocks)

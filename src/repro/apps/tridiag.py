@@ -344,8 +344,11 @@ def run_cr(
     spec: GpuSpec = GTX285,
 ) -> AppRun:
     """The paper's experiment: 512 512-equation systems, CR or CR-NBC."""
-    problem = prepare_problem(n, num_systems, seed)
-    kernel = build_cr_kernel(n, padded)
+    from repro import obs
+
+    with obs.span("apps.inputs"):
+        problem = prepare_problem(n, num_systems, seed)
+        kernel = build_cr_kernel(n, padded)
     sample = [(0, 0)] if representative else None
     return execute(
         name=f"{'CR-NBC' if padded else 'CR'} (n={n}, systems={num_systems})",

@@ -10,7 +10,9 @@ pipeline.  This module supplies the mechanisms that removed it:
   .run_group`), and fans the groups across the same process pool the
   functional-simulation engine uses (:mod:`repro.pool`), preserving job
   order so the parallel reduction is bit-identical to a serial loop of
-  independent simulations;
+  independent simulations; :func:`start_clusters` is the same work
+  returned as a :class:`~repro.pool.Pending`, so a caller (the
+  calibration sweep) can run other work before collecting;
 * :class:`MeasuredRunCache` memoizes whole :class:`~repro.hw.gpu
   .MeasuredRun` results on disk, keyed by the package's source digest, the
   launch's class-signature table, the architecture spec, the timing
@@ -32,13 +34,14 @@ from dataclasses import replace
 from repro.arch.specs import GpuSpec
 from repro.hw.cluster import BlockWork, ClusterResult, ClusterSimulator
 from repro.hw.config import HwConfig
-from repro.pool import PoolHealth, map_tasks
+from repro.pool import Pending, PoolHealth, start_tasks
 from repro.sim.trace import stream_digest
 from repro.util import VersionedPickleCache
 
 __all__ = [
     "MeasuredRunCache",
     "simulate_clusters",
+    "start_clusters",
     "stream_digest",
 ]
 
@@ -106,18 +109,47 @@ def simulate_clusters(
 ) -> list[ClusterResult]:
     """Simulate cluster jobs, preserving order; parallel when configured.
 
+    Exactly ``start_clusters(...).collect()``.
+    """
+    return start_clusters(
+        jobs,
+        spec,
+        config,
+        use_cache,
+        workers,
+        task_timeout=task_timeout,
+        health=health,
+        _share_prefixes=_share_prefixes,
+        **span_attrs,
+    ).collect()
+
+
+def start_clusters(
+    jobs: list[ClusterJob],
+    spec: GpuSpec,
+    config: HwConfig | None,
+    use_cache: bool,
+    workers: int = 0,
+    task_timeout: float | None = None,
+    health: PoolHealth | None = None,
+    _share_prefixes: bool = True,
+    **span_attrs,
+) -> Pending:
+    """Start simulating cluster jobs; the results are collected in order.
+
     Every job's result is a pure function of its arguments.  Jobs with
     the same residency whose SMs start with the same blocks form one
     group, whose common prefix is simulated once (see
-    :mod:`repro.hw.cluster`); each group is one pool task, so the
-    results are bit-identical to a serial loop of independent
-    simulations and the caller can aggregate them deterministically in
-    job order.  ``_share_prefixes=False`` makes every job its own group
-    (the naive reference replay).  Worker deaths and hung tasks
-    (``task_timeout``) degrade to in-process re-execution of the
-    affected groups -- still bit-identical -- with the counters recorded
-    in ``health`` (see :mod:`repro.pool`).  ``span_attrs`` tag the
-    ``hw.simulate_clusters`` obs span.
+    :mod:`repro.hw.cluster`); each group is one pool task
+    (:func:`repro.pool.start_tasks`), so the results are bit-identical
+    to a serial loop of independent simulations and the caller can
+    aggregate them deterministically in job order.
+    ``_share_prefixes=False`` makes every job its own group (the naive
+    reference replay).  Worker deaths and hung tasks (``task_timeout``)
+    degrade to in-process re-execution of the affected groups -- still
+    bit-identical -- with the counters recorded in ``health`` (see
+    :mod:`repro.pool`).  ``span_attrs`` tag the ``hw.simulate_clusters``
+    obs span, which covers the start (and all of a serial run).
     """
     from repro import obs
 
@@ -132,7 +164,7 @@ def simulate_clusters(
         workers=workers,
         **span_attrs,
     ):
-        grouped = map_tasks(
+        grouped = start_tasks(
             [[jobs[index] for index in group] for group in groups],
             workers,
             serial_fn=lambda group: _simulate_group(
@@ -144,11 +176,15 @@ def simulate_clusters(
             task_timeout=task_timeout,
             health=health,
         )
-    results: list[ClusterResult | None] = [None] * len(jobs)
-    for group, group_results in zip(groups, grouped):
-        for index, result in zip(group, group_results):
-            results[index] = result
-    return results
+
+    def in_job_order(grouped_results: list) -> list[ClusterResult]:
+        results: list[ClusterResult | None] = [None] * len(jobs)
+        for group, group_results in zip(groups, grouped_results):
+            for index, result in zip(group, group_results):
+                results[index] = result
+        return results
+
+    return grouped.then(in_job_order)
 
 
 # stream_digest now lives in repro.sim.trace (next to BlockTrace, which

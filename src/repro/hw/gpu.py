@@ -38,8 +38,12 @@ from repro.arch.specs import GpuSpec, GTX285
 from repro.errors import HardwareModelError
 from repro.hw.cluster import BlockWork, ClusterResult
 from repro.hw.config import HwConfig, config_fingerprint
-from repro.hw.engine import MeasuredRunCache, simulate_clusters
-from repro.pool import HealthRecord, PoolHealth
+from repro.hw.engine import (
+    MeasuredRunCache,
+    simulate_clusters,
+    start_clusters,
+)
+from repro.pool import HealthRecord, Pending, PoolHealth
 from repro.sim.trace import EV_GLOBAL_LD, EV_GLOBAL_ST, BlockTrace
 from repro.tune import resolve as tune_resolve
 from repro.util import source_digest, spec_fingerprint
@@ -132,18 +136,26 @@ class HardwareGpu:
         points: list[list[BlockWork]],
         resident_per_sm: int,
     ) -> list[ClusterResult]:
-        """Time one SM per point, running that point's block queue.
+        """Time one SM per point: ``start_uniform_sm(...).collect()``."""
+        return self.start_uniform_sm(points, resident_per_sm).collect()
+
+    def start_uniform_sm(
+        self,
+        points: list[list[BlockWork]],
+        resident_per_sm: int,
+    ) -> Pending:
+        """Start timing one SM per point, running that point's block queue.
 
         ``points`` are per-SM block queues, e.g. the points of a
-        microbenchmark sweep; the results come back in the same order.
-        One SM stands for every SM of the GPU, as in the paper's Fig. 2
-        microbenchmarks: the SMs of a cluster share only its memory
-        pipeline, so a point without global memory events runs on each
-        of them exactly as it runs alone.  Points with global loads or
-        stores are refused (:class:`HardwareModelError`).  Each point is
-        an independent job: they fan out over ``workers`` like a
-        measurement's clusters, largest first so the pool stays
-        balanced.
+        microbenchmark sweep; the results are collected in the same
+        order.  One SM stands for every SM of the GPU, as in the
+        paper's Fig. 2 microbenchmarks: the SMs of a cluster share only
+        its memory pipeline, so a point without global memory events
+        runs on each of them exactly as it runs alone.  Points with
+        global loads or stores are refused (:class:`HardwareModelError`).
+        Each point is an independent job: they fan out over ``workers``
+        like a measurement's clusters, largest first so the pool stays
+        balanced, and run while the caller works until collected.
         """
         streams = {
             id(stream): stream
@@ -167,7 +179,14 @@ class HardwareGpu:
         ]
         order = sorted(range(len(points)), key=lambda i: -sizes[i])
         jobs = [([list(points[i])], resident_per_sm) for i in order]
-        results = simulate_clusters(
+
+        def in_point_order(results: list) -> list[ClusterResult]:
+            ordered: list[ClusterResult] = [None] * len(jobs)
+            for i, result in zip(order, results):
+                ordered[i] = result
+            return ordered
+
+        return start_clusters(
             jobs,
             self.spec,
             self.config,
@@ -175,11 +194,7 @@ class HardwareGpu:
             workers=self._effective_workers(jobs),
             task_timeout=self.task_timeout,
             points=len(jobs),
-        )
-        ordered: list[ClusterResult] = [None] * len(jobs)
-        for i, result in zip(order, results):
-            ordered[i] = result
-        return ordered
+        ).then(in_point_order)
 
     # ------------------------------------------------------------------
     # full launches

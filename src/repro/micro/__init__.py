@@ -6,8 +6,14 @@ from repro.micro.cache import (
     default_trace_cache_dir,
     load_or_calibrate,
     spec_fingerprint,
+    start_load_or_calibrate,
 )
-from repro.micro.calibration import CalibrationTables, calibrate, default_tables
+from repro.micro.calibration import (
+    CalibrationTables,
+    calibrate,
+    default_tables,
+    start_calibrate,
+)
 from repro.micro.codegen import (
     buffer_words_for_stream,
     global_stream_benchmark,
@@ -64,6 +70,8 @@ __all__ = [
     "shared_copy_benchmark",
     "single_warp_stream",
     "sm_resident_blocks",
+    "start_calibrate",
+    "start_load_or_calibrate",
     "sweep_blocks",
     "synthetic_block",
 ]

@@ -23,8 +23,9 @@ from pathlib import Path
 from repro.arch.registry import registered_name
 from repro.arch.specs import GTX285, GpuSpec
 from repro.hw.gpu import HardwareGpu
-from repro.micro.calibration import CalibrationTables, calibrate
+from repro.micro.calibration import CalibrationTables, start_calibrate
 from repro.micro.instruction import warp_counts_for
+from repro.pool import Pending
 from repro.util import (
     CACHE_DIR_ENV,
     atomic_write_bytes,
@@ -41,6 +42,7 @@ __all__ = [
     "default_trace_cache_dir",
     "load_or_calibrate",
     "save_calibration",
+    "start_load_or_calibrate",
 ]
 
 
@@ -91,10 +93,35 @@ def load_or_calibrate(
     force: bool = False,
     on_calibrate=None,
 ) -> CalibrationTables:
-    """Return cached calibration tables, re-running microbenchmarks only
-    when the cache is missing, malformed, or keyed to a different spec or
-    sweep configuration.  The default ``path`` is the per-spec cache
-    file (:func:`default_calibration_path`), and ``warp_counts=None``
+    """Cached calibration tables:
+    ``start_load_or_calibrate(...).collect()``."""
+    return start_load_or_calibrate(
+        gpu,
+        path=path,
+        warp_counts=warp_counts,
+        iterations=iterations,
+        force=force,
+        on_calibrate=on_calibrate,
+    ).collect()
+
+
+def start_load_or_calibrate(
+    gpu: HardwareGpu | None = None,
+    path: str | os.PathLike | None = None,
+    warp_counts: tuple[int, ...] | None = None,
+    iterations: int = 60,
+    force: bool = False,
+    on_calibrate=None,
+) -> Pending:
+    """Cached calibration tables, or a started calibration that caches
+    them when collected.
+
+    Microbenchmarks re-run only when the cache is missing, malformed,
+    or keyed to a different spec or sweep configuration; the sweep then
+    runs on ``gpu``'s pool until the returned :class:`Pending` is
+    collected (:func:`repro.micro.calibration.start_calibrate`).  The
+    default ``path`` is the per-spec cache file
+    (:func:`default_calibration_path`), and ``warp_counts=None``
     resolves to the spec's sweep grid, so every registered architecture
     calibrates and caches independently.  ``on_calibrate`` is invoked
     (with no args) right before an actual calibration run -- missing
@@ -115,7 +142,7 @@ def load_or_calibrate(
         tables = _try_load(target, gpu, fingerprint, sweep)
         if tables is not None:
             obs.metrics.inc("cache.calibration.hits")
-            return tables
+            return Pending.of(tables)
     obs.metrics.inc("cache.calibration.misses")
 
     if on_calibrate is not None:
@@ -125,12 +152,16 @@ def load_or_calibrate(
         spec=getattr(gpu.spec, "name", None),
         iterations=iterations,
     ):
-        tables = calibrate(
+        started = start_calibrate(
             gpu, warp_counts=warp_counts, iterations=iterations
         )
-    save_calibration(tables, target, fingerprint, sweep)
-    obs.metrics.inc("cache.calibration.stores")
-    return tables
+
+    def store(tables: CalibrationTables) -> CalibrationTables:
+        save_calibration(tables, target, fingerprint, sweep)
+        obs.metrics.inc("cache.calibration.stores")
+        return tables
+
+    return started.then(store)
 
 
 def save_calibration(

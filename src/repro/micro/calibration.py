@@ -25,6 +25,7 @@ from repro.micro.instruction import (
     warp_counts_for,
 )
 from repro.micro.shared import SharedBandwidthTable, shared_points
+from repro.pool import Pending
 from repro.util import source_digest, spec_fingerprint
 
 
@@ -150,13 +151,31 @@ def calibrate(
     warp_counts: tuple[int, ...] | None = None,
     iterations: int = 60,
 ) -> CalibrationTables:
-    """Run the full microbenchmark suite against a hardware instance.
+    """Run the full microbenchmark suite: ``start_calibrate(...).collect()``."""
+    return start_calibrate(gpu, warp_counts, iterations).collect()
+
+
+def start_calibrate(
+    gpu: HardwareGpu | None = None,
+    warp_counts: tuple[int, ...] | None = None,
+    iterations: int = 60,
+) -> Pending:
+    """Start the full microbenchmark suite against a hardware instance.
+
+    The sweep's one-SM jobs run on the timing layer's pool
+    (``gpu.workers``) while the caller works; the tables are built when
+    the returned :class:`~repro.pool.Pending` is collected, and the
+    time spent waiting for the pool there is the
+    ``micro.calibrate.wait`` obs span.  With no pool the sweep runs
+    here, before this returns.
 
     ``warp_counts=None`` resolves to the spec's grid
     (:func:`repro.micro.instruction.warp_counts_for`): the GT200
     default sweep for the baseline, extended sample points for
     registered wide-warp-count generations.
     """
+    from repro import obs
+
     gpu = gpu or HardwareGpu()
     if warp_counts is None:
         warp_counts = warp_counts_for(gpu.spec)
@@ -168,15 +187,21 @@ def calibrate(
     smem_points, smem_table = shared_points(
         gpu.spec, warp_counts, iterations=iterations
     )
-    results = gpu.measure_uniform_sm(
+    sweep = gpu.start_uniform_sm(
         inst_points + smem_points, SWEEP_RESIDENT_BLOCKS
     )
     split = len(inst_points)
-    return CalibrationTables(
-        instruction=inst_table(results[:split]),
-        shared=smem_table(results[split:]),
-        gpu=gpu,
-    )
+
+    def tables() -> CalibrationTables:
+        with obs.span("micro.calibrate.wait"):
+            results = sweep.collect()
+        return CalibrationTables(
+            instruction=inst_table(results[:split]),
+            shared=smem_table(results[split:]),
+            gpu=gpu,
+        )
+
+    return Pending(tables, sweep.close)
 
 
 def default_tables(gpu: HardwareGpu | None = None) -> CalibrationTables:

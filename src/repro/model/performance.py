@@ -30,6 +30,7 @@ from repro.model.extractor import (
     extract_inputs,
 )
 from repro.model.report import PerformanceReport, StageAnalysis, diagnose
+from repro.pool import Pending
 from repro.sim.functional import LaunchConfig
 from repro.sim.trace import KernelTrace
 
@@ -48,18 +49,34 @@ class PerformanceModel:
 
     Without ``tables`` the model calibrates ``HardwareGpu(spec=spec)``
     once per process (:func:`repro.micro.calibration.default_tables`).
+    ``tables`` may also be a calibration still running
+    (:func:`repro.micro.start_calibrate`); it is collected the first
+    time the model needs it, so the sweep overlaps whatever the caller
+    does before analyzing.
     """
 
     def __init__(
         self,
-        tables: CalibrationTables | None = None,
+        tables: CalibrationTables | Pending | None = None,
         spec: GpuSpec = GTX285,
     ) -> None:
         self.spec = spec
         if tables is None:
             tables = default_tables(HardwareGpu(spec=spec))
-        self.tables = tables
-        self.models = ComponentModels(self.tables, spec)
+        self._tables = tables
+        self._models: ComponentModels | None = None
+
+    @property
+    def tables(self) -> CalibrationTables:
+        if isinstance(self._tables, Pending):
+            self._tables = self._tables.collect()
+        return self._tables
+
+    @property
+    def models(self) -> ComponentModels:
+        if self._models is None:
+            self._models = ComponentModels(self.tables, self.spec)
+        return self._models
 
     # ------------------------------------------------------------------
     def context(

@@ -25,6 +25,12 @@ fault-tolerance layer -- failure semantics cannot drift apart:
 * **one transport.**  Per-pool state (e.g. the engine's pre-launch
   global-memory arena) travels in ``initargs``: fork workers inherit
   it, spawn workers unpickle it once each.
+* **start, then collect.**  :func:`start_tasks` submits the tasks and
+  returns a :class:`Pending`; the caller may do other work in its own
+  process before collecting (a cold CLI run simulates its case while
+  the calibration sweep runs).  :func:`map_tasks` is
+  ``start_tasks(...).collect()``, so the failure handling above has one
+  code path.
 """
 
 from __future__ import annotations
@@ -253,7 +259,281 @@ def _stop_executor(executor, kill: bool) -> None:
         pass
 
 
-def map_tasks(
+class Pending:
+    """A started computation whose result :meth:`collect` returns.
+
+    :func:`start_tasks` returns one for a pool fan-out whose tasks run
+    in worker processes while the caller does other work; the layers
+    built on the pool derive theirs with :meth:`then` (the timing
+    layer's cluster jobs, the calibration sweep).  ``collect`` blocks
+    until the result is ready; later calls return the same value.
+
+    As a context manager, leaving the block normally collects, so the
+    work finishes and its side effects (e.g. a cache store) happen;
+    leaving it by an exception, ``KeyboardInterrupt`` included, closes
+    instead: the pool is killed, so no worker outlives a failed caller.
+    """
+
+    def __init__(
+        self,
+        collect: Callable[[], object],
+        close: Callable[[bool], None] | None = None,
+    ) -> None:
+        self._collect = collect
+        self._close = close
+        self._done = False
+        self._value = None
+
+    @classmethod
+    def of(cls, value) -> "Pending":
+        """A result that is already there."""
+        pending = cls(lambda: value)
+        pending.collect()
+        return pending
+
+    def collect(self):
+        if not self._done:
+            # From here on collecting owns the pool's clean-up, also
+            # when it raises, so a later close() has nothing to do.
+            self._close = None
+            self._value = self._collect()
+            self._done = True
+        return self._value
+
+    def then(self, fn: Callable) -> "Pending":
+        """The pending ``fn(self.collect())``, sharing this one's pool."""
+        return Pending(lambda: fn(self.collect()), self.close)
+
+    def close(self, interrupted: bool = False) -> None:
+        """Kill the pool behind a result nobody is collecting."""
+        if self._close is not None:
+            close, self._close = self._close, None
+            close(interrupted)
+
+    def __enter__(self) -> "Pending":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.collect()
+        else:
+            self.close(interrupted=issubclass(exc_type, KeyboardInterrupt))
+
+
+@dataclass(eq=False)
+class _PoolRun:
+    """One pooled fan-out, from its first submission to its results."""
+
+    tasks: list
+    processes: int
+    serial_fn: Callable
+    worker_fn: Callable
+    initializer: Callable | None
+    initargs: tuple
+    task_timeout: float | None
+    max_retries: int
+    retry_backoff: float
+    health: PoolHealth
+    recorder: object
+
+    def __post_init__(self) -> None:
+        import multiprocessing
+
+        from repro import faults
+
+        self.plan = faults.active_plan()
+        self.context = multiprocessing.get_context(start_method())
+        self.results: dict[int, object] = {}
+        self.attempts = [0] * len(self.tasks)
+        self.pending = list(range(len(self.tasks)))
+        self.executor = None
+        self.futures: dict | None = None
+        # Worker-side span capture: one deterministic lane per pool call
+        # (``pool<n>.t<index>``), shipped only when the parent records.
+        self.lane_prefix = (
+            self.recorder.next_pool_lane()
+            if self.recorder is not None
+            else None
+        )
+
+    def submit(self) -> None:
+        """Submit every pending task, building a pool if there is none."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        if self.executor is None:
+            self.executor = ProcessPoolExecutor(
+                max_workers=min(self.processes, len(self.pending)),
+                mp_context=self.context,
+                initializer=self.initializer,
+                initargs=self.initargs,
+            )
+        self.futures = {
+            i: self.executor.submit(
+                _call_task,
+                self.worker_fn,
+                i,
+                self.tasks[i],
+                self.attempts[i],
+                self.plan,
+                f"{self.lane_prefix}.t{i}" if self.lane_prefix else None,
+            )
+            for i in self.pending
+        }
+
+    def close(self, interrupted: bool) -> None:
+        """Kill the pool: the interrupt and abandoned-result path."""
+        if interrupted:
+            self.health.interrupts += 1
+        if self.executor is not None:
+            _stop_executor(self.executor, kill=True)
+            self.executor = None
+
+    def harvest(self, value):
+        """Strip a worker envelope, adopting its capture exactly once.
+
+        Every path that stores a pooled future's result goes through
+        here; lost attempts never produce an envelope and serial
+        re-runs record straight into the parent recorder, so no span
+        can land twice.
+        """
+        if isinstance(value, _SpanEnvelope):
+            if self.recorder is not None:
+                self.recorder.adopt(
+                    value.events,
+                    value.counters,
+                    value.gauges,
+                    value.histograms,
+                )
+            return value.result
+        return value
+
+    def run_serial(self, index: int) -> None:
+        self.results[index] = self.serial_fn(self.tasks[index])
+        self.health.serial_fallbacks += 1
+
+    def collect(self) -> list:
+        from repro import obs
+
+        # Counter deltas against ``health`` are folded into the metric
+        # registry at the end, so shared PoolHealth objects (the engine
+        # accumulates one across _simulate calls) are not double-counted.
+        health = self.health
+        health_before = {f.name: getattr(health, f.name) for f in fields(health)}
+        try:
+            with obs.span(
+                "pool.map_tasks",
+                tasks=len(self.tasks),
+                workers=self.processes,
+                mode="pool",
+                lane=self.lane_prefix,
+            ):
+                while self.pending:
+                    if self.futures is None:
+                        self.submit()
+                    self.collect_round()
+        except KeyboardInterrupt:
+            self.close(interrupted=True)
+            raise
+        finally:
+            if self.executor is not None:
+                _stop_executor(self.executor, kill=False)
+                self.executor = None
+
+        if self.recorder is not None:
+            for name, previous in health_before.items():
+                delta = getattr(health, name) - previous
+                if delta and name != "tasks":
+                    self.recorder.inc(f"pool.{name}", delta)
+        return [self.results[i] for i in range(len(self.tasks))]
+
+    def collect_round(self) -> None:
+        """Wait for the submitted tasks; on a crash or a hang, decide
+        each lost task's fate and leave the survivors pending."""
+        from concurrent.futures import TimeoutError as FutureTimeout
+        from concurrent.futures.process import BrokenProcessPool
+
+        health = self.health
+        pending, futures = self.pending, self.futures
+        self.futures = None
+        completed: set[int] = set()
+        timed_out: int | None = None
+        crashed = False
+        for i in pending:
+            try:
+                self.results[i] = self.harvest(
+                    futures[i].result(timeout=self.task_timeout)
+                )
+                completed.add(i)
+            except FutureTimeout:
+                timed_out = i
+                break
+            except BrokenProcessPool:
+                crashed = True
+                break
+            except Exception:
+                # Genuine task error: let the bit-identity reference
+                # decide -- it either recovers the result or raises the
+                # true error in the caller's process.
+                health.task_errors += 1
+                self.run_serial(i)
+                completed.add(i)
+
+        if timed_out is None and not crashed:
+            self.pending = []
+            return
+
+        # The pool is compromised: stop it (killing workers when a hang
+        # is suspected), harvest finished siblings, and decide each
+        # survivor's fate.
+        _stop_executor(self.executor, kill=timed_out is not None)
+        self.executor = None
+        health.pool_rebuilds += 1
+        for i in pending:
+            if i in completed or i == timed_out:
+                continue
+            future = futures[i]
+            if future.done() and not future.cancelled():
+                try:
+                    self.results[i] = self.harvest(future.result(timeout=0))
+                    completed.add(i)
+                except Exception:
+                    pass  # lost with the pool; handled below
+
+        if timed_out is not None:
+            health.timeouts += 1
+            health.wall_seconds_lost += self.task_timeout or 0.0
+            # The hung task gets no second chance to hang: straight to
+            # the serial reference.
+            self.run_serial(timed_out)
+            completed.add(timed_out)
+            survivors = [i for i in pending if i not in completed]
+        else:
+            health.worker_crashes += 1
+            # Any in-flight task may have killed the worker; all lost
+            # tasks consume one retry.
+            survivors = []
+            for i in pending:
+                if i in completed:
+                    continue
+                self.attempts[i] += 1
+                if self.attempts[i] > self.max_retries:
+                    self.run_serial(i)
+                else:
+                    survivors.append(i)
+            health.retried += len(survivors)
+
+        self.pending = survivors
+        if survivors:
+            delay = min(
+                self.retry_backoff * (2 ** max(health.pool_rebuilds - 1, 0)),
+                1.0,
+            )
+            if delay > 0:
+                time.sleep(delay)
+                health.wall_seconds_lost += delay
+
+
+def start_tasks(
     tasks: Sequence,
     workers: int,
     serial_fn: Callable,
@@ -264,17 +544,19 @@ def map_tasks(
     max_retries: int = DEFAULT_MAX_RETRIES,
     retry_backoff: float = DEFAULT_RETRY_BACKOFF,
     health: PoolHealth | None = None,
-) -> list:
-    """Apply a function to every task, preserving task order.
+) -> Pending:
+    """Start applying a function to every task; collect them in order.
 
-    ``workers <= 1`` (or a single task) calls ``serial_fn`` in-process;
-    otherwise a pool of ``min(workers, len(tasks))`` processes is built
-    with ``initializer(*initargs)`` and each task is handed to the
-    module-level (picklable) ``worker_fn``.  The two functions must
-    compute the same pure result for a task; parallel runs are then
-    bit-identical to serial ones.
+    ``workers <= 1`` (or a single task) calls ``serial_fn`` in-process
+    right away; otherwise a pool of ``min(workers, len(tasks))``
+    processes is built with ``initializer(*initargs)``, every task is
+    submitted to the module-level (picklable) ``worker_fn``, and the
+    returned :class:`Pending` runs in the background until collected.
+    The two functions must compute the same pure result for a task;
+    parallel runs are then bit-identical to serial ones.
 
-    Failure semantics (all recorded in ``health``):
+    Failure semantics, all handled at collection and recorded in
+    ``health``:
 
     * A worker death (``BrokenProcessPool``: OOM kill, segfault,
       ``os._exit``) loses the in-flight tasks; finished results are
@@ -292,17 +574,19 @@ def map_tasks(
       through ``serial_fn``: either the failure was environmental and
       the serial reference recovers it bit-identically, or it is
       genuine and ``serial_fn`` raises the true error to the caller.
-    * ``KeyboardInterrupt`` kills the pool before re-raising.
+    * ``KeyboardInterrupt`` kills the pool before re-raising, while
+      collecting or (through the :class:`Pending` context manager)
+      while the caller works before collecting.
 
     Because every degraded path re-executes through ``serial_fn``, the
-    returned list is exactly the healthy result regardless of faults.
+    collected list is exactly the healthy result regardless of faults.
     """
     tasks = list(tasks)
     if health is None:
         health = PoolHealth()
     health.tasks += len(tasks)
     if not tasks:
-        return []
+        return Pending.of([])
     from repro import obs
 
     recorder = obs.current()
@@ -313,181 +597,56 @@ def map_tasks(
             "pool.map_tasks", tasks=len(tasks), workers=workers,
             mode="serial",
         ):
-            return [serial_fn(task) for task in tasks]
+            return Pending.of([serial_fn(task) for task in tasks])
     if task_timeout is None:
         task_timeout = default_task_timeout()
-
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures import TimeoutError as FutureTimeout
-    from concurrent.futures.process import BrokenProcessPool
-
-    from repro import faults
-
-    plan = faults.active_plan()
-    context = multiprocessing.get_context(start_method())
-    processes = min(workers, len(tasks))
-    results: dict[int, object] = {}
-    attempts = [0] * len(tasks)
-    pending = list(range(len(tasks)))
-    executor = None
-
-    # Worker-side span capture: one deterministic lane per pool call
-    # (``pool<n>.t<index>``), shipped only when the parent records.
-    # Counter deltas against ``health`` are folded into the metric
-    # registry at the end, so shared PoolHealth objects (the engine
-    # accumulates one across _simulate calls) are not double-counted.
-    lane_prefix = (
-        recorder.next_pool_lane() if recorder is not None else None
+    run = _PoolRun(
+        tasks,
+        min(workers, len(tasks)),
+        serial_fn,
+        worker_fn,
+        initializer,
+        tuple(initargs),
+        task_timeout,
+        max_retries,
+        retry_backoff,
+        health,
+        recorder,
     )
-    health_before = (
-        {f.name: getattr(health, f.name) for f in fields(health)}
-        if recorder is not None
-        else None
-    )
-    pool_span = obs.span(
-        "pool.map_tasks",
-        tasks=len(tasks),
-        workers=processes,
-        mode="pool",
-        lane=lane_prefix,
-    )
-    pool_span.__enter__()
-
-    def harvest(value):
-        """Strip a worker envelope, adopting its capture exactly once.
-
-        Every path that stores a pooled future's result goes through
-        here; lost attempts never produce an envelope and serial
-        re-runs record straight into the parent recorder, so no span
-        can land twice.
-        """
-        if isinstance(value, _SpanEnvelope):
-            if recorder is not None:
-                recorder.adopt(
-                    value.events,
-                    value.counters,
-                    value.gauges,
-                    value.histograms,
-                )
-            return value.result
-        return value
-
-    def run_serial(index: int) -> None:
-        results[index] = serial_fn(tasks[index])
-        health.serial_fallbacks += 1
-
     try:
-        while pending:
-            if executor is None:
-                executor = ProcessPoolExecutor(
-                    max_workers=min(processes, len(pending)),
-                    mp_context=context,
-                    initializer=initializer,
-                    initargs=tuple(initargs),
-                )
-            futures = {
-                i: executor.submit(
-                    _call_task,
-                    worker_fn,
-                    i,
-                    tasks[i],
-                    attempts[i],
-                    plan,
-                    f"{lane_prefix}.t{i}" if lane_prefix else None,
-                )
-                for i in pending
-            }
-            completed: set[int] = set()
-            timed_out: int | None = None
-            crashed = False
-            for i in pending:
-                try:
-                    results[i] = harvest(
-                        futures[i].result(timeout=task_timeout)
-                    )
-                    completed.add(i)
-                except FutureTimeout:
-                    timed_out = i
-                    break
-                except BrokenProcessPool:
-                    crashed = True
-                    break
-                except Exception:
-                    # Genuine task error: let the bit-identity reference
-                    # decide -- it either recovers the result or raises
-                    # the true error in the caller's process.
-                    health.task_errors += 1
-                    run_serial(i)
-                    completed.add(i)
-
-            if timed_out is None and not crashed:
-                pending = []
-                break
-
-            # The pool is compromised: stop it (killing workers when a
-            # hang is suspected), harvest finished siblings, and decide
-            # each survivor's fate.
-            _stop_executor(executor, kill=timed_out is not None)
-            executor = None
-            health.pool_rebuilds += 1
-            for i in pending:
-                if i in completed or i == timed_out:
-                    continue
-                future = futures[i]
-                if future.done() and not future.cancelled():
-                    try:
-                        results[i] = harvest(future.result(timeout=0))
-                        completed.add(i)
-                    except Exception:
-                        pass  # lost with the pool; handled below
-
-            if timed_out is not None:
-                health.timeouts += 1
-                health.wall_seconds_lost += task_timeout or 0.0
-                # The hung task gets no second chance to hang: straight
-                # to the serial reference.
-                run_serial(timed_out)
-                completed.add(timed_out)
-                survivors = [i for i in pending if i not in completed]
-            else:
-                health.worker_crashes += 1
-                # Any in-flight task may have killed the worker; all
-                # lost tasks consume one retry.
-                survivors = []
-                for i in pending:
-                    if i in completed:
-                        continue
-                    attempts[i] += 1
-                    if attempts[i] > max_retries:
-                        run_serial(i)
-                    else:
-                        survivors.append(i)
-                health.retried += len(survivors)
-
-            pending = survivors
-            if pending:
-                delay = min(
-                    retry_backoff * (2 ** max(health.pool_rebuilds - 1, 0)),
-                    1.0,
-                )
-                if delay > 0:
-                    time.sleep(delay)
-                    health.wall_seconds_lost += delay
-    except KeyboardInterrupt:
-        health.interrupts += 1
-        if executor is not None:
-            _stop_executor(executor, kill=True)
-            executor = None
+        run.submit()
+    except BaseException as exc:
+        run.close(interrupted=isinstance(exc, KeyboardInterrupt))
         raise
-    finally:
-        if executor is not None:
-            _stop_executor(executor, kill=False)
-        pool_span.__exit__(None, None, None)
+    return Pending(run.collect, run.close)
 
-    if recorder is not None and health_before is not None:
-        for name, previous in health_before.items():
-            delta = getattr(health, name) - previous
-            if delta and name != "tasks":
-                recorder.inc(f"pool.{name}", delta)
-    return [results[i] for i in range(len(tasks))]
+
+def map_tasks(
+    tasks: Sequence,
+    workers: int,
+    serial_fn: Callable,
+    worker_fn: Callable,
+    initializer: Callable | None = None,
+    initargs: Iterable = (),
+    task_timeout: float | None = None,
+    max_retries: int = DEFAULT_MAX_RETRIES,
+    retry_backoff: float = DEFAULT_RETRY_BACKOFF,
+    health: PoolHealth | None = None,
+) -> list:
+    """Apply a function to every task, preserving task order.
+
+    Exactly ``start_tasks(...).collect()``; see :func:`start_tasks` for
+    the pool policy and the failure semantics.
+    """
+    return start_tasks(
+        tasks,
+        workers,
+        serial_fn,
+        worker_fn,
+        initializer=initializer,
+        initargs=initargs,
+        task_timeout=task_timeout,
+        max_retries=max_retries,
+        retry_backoff=retry_backoff,
+        health=health,
+    ).collect()

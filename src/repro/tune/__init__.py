@@ -13,9 +13,11 @@ for the precedence rules).  Import surface:
   (imports the measurement modules lazily; they pull in the simulator
   stack, which this package root must not do because the simulators
   import :mod:`repro.tune` themselves);
-* :func:`ensure_profile` -- load the machine's profile, auto-running
-  :func:`autotune` on first use the way calibration self-populates
-  (``$REPRO_TUNE_AUTO=0`` or ``dry_run=True`` opts out).
+* :func:`ensure_profile` -- load the machine's profile, running
+  :func:`autotune` when there is none (``$REPRO_TUNE_AUTO=0`` or
+  ``dry_run=True`` opts out).  The CLI's case commands do not call it:
+  the profile changes no result, so a first run no longer pays for a
+  measurement; ``repro tune run`` writes a profile on demand.
 
 The tuners live in :mod:`repro.tune.events` (serial/pool crossover) and
 :mod:`repro.tune.slab` (grid-batch slab width); the perf-trajectory
@@ -44,7 +46,8 @@ from repro.tune.profile import (
 #: Set to ``0``/``no``/``false``/``off`` to stop :func:`ensure_profile`
 #: from measuring on machines where an automatic tuning run is
 #: unwelcome (CI, tests, shared boxes); resolution then falls through
-#: to the built-in defaults as before.
+#: to the built-in defaults as before.  Only :func:`ensure_profile`
+#: reads it.
 TUNE_AUTO_ENV = "REPRO_TUNE_AUTO"
 
 __all__ = [
@@ -129,11 +132,11 @@ def ensure_profile(
     on_tune=None,
     **autotune_kwargs,
 ) -> TuningProfile | None:
-    """This machine's profile, auto-tuning on first use.
+    """This machine's profile, auto-tuning when there is none.
 
-    The tuning analogue of calibration's ``load_or_calibrate``: when no
-    profile exists for the (machine, spec) fingerprint, measure one and
-    persist it so every later construction resolves against it.  Opt
+    When no profile exists for the (machine, spec) fingerprint, measure
+    one and persist it so every later construction resolves against
+    it.  Opt
     out with ``dry_run=True`` or ``$REPRO_TUNE_AUTO=0`` -- both return
     whatever is already on disk (possibly ``None``) without measuring.
     ``on_tune`` is called right before a measurement actually starts,

@@ -99,11 +99,11 @@ class TestTuneWiring:
         assert "(from profile)" in out
 
 
-def _tiny_tables(gpu=None, **_kwargs):
+def _tiny_sweep(gpu=None, **_kwargs):
     # Shrink the sweep: these tests exercise wiring, not curves.
-    from repro.micro.calibration import calibrate
+    from repro.micro.calibration import start_calibrate
 
-    return calibrate(gpu, warp_counts=(1, 4, 32), iterations=10)
+    return start_calibrate(gpu, warp_counts=(1, 4, 32), iterations=10)
 
 
 class TestGpuWiring:
@@ -116,9 +116,10 @@ class TestGpuWiring:
         from repro.__main__ import _make_model
         from repro.micro import cache as micro_cache
 
-        monkeypatch.setattr(micro_cache, "calibrate", _tiny_tables)
+        monkeypatch.setattr(micro_cache, "start_calibrate", _tiny_sweep)
         args = build_parser().parse_args(["matmul", "--workers", "3"])
-        gpu, _ = _make_model(args)
+        with _make_model(args) as (gpu, _):
+            pass
         assert gpu.workers == 3
         assert gpu.cache is not None
         assert gpu.cache.directory == str(tmp_path / "measured")
@@ -131,9 +132,10 @@ class TestGpuWiring:
 
         from repro.__main__ import _make_model
 
-        monkeypatch.setattr(repro.micro, "calibrate", _tiny_tables)
+        monkeypatch.setattr(repro.micro, "start_calibrate", _tiny_sweep)
         args = build_parser().parse_args(["matmul", "--no-cache"])
-        gpu, _ = _make_model(args)
+        with _make_model(args) as (gpu, _):
+            pass
         assert gpu.workers == 0
         assert gpu.cache is None
 
@@ -148,19 +150,21 @@ class TestCalibrationCaching:
         from repro.micro import cache as micro_cache
 
         calls = []
-        real = micro_cache.calibrate
+        real = micro_cache.start_calibrate
 
         def counting(gpu=None, **_kwargs):
             calls.append(1)
             # Shrink the sweep: the test exercises caching, not curves.
             return real(gpu, warp_counts=(1, 4, 32), iterations=10)
 
-        monkeypatch.setattr(micro_cache, "calibrate", counting)
+        monkeypatch.setattr(micro_cache, "start_calibrate", counting)
 
         args = build_parser().parse_args(["matmul"])
-        _make_model(args)
+        with _make_model(args):
+            pass
         assert (tmp_path / "calibration.json").exists()
-        _make_model(args)
+        with _make_model(args):
+            pass
         assert len(calls) == 1
 
 

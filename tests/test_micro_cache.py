@@ -21,15 +21,15 @@ WARPS = (1, 4, 32)
 
 @pytest.fixture()
 def counted_calibrate(monkeypatch):
-    """Count real calibrations behind load_or_calibrate."""
+    """Count real calibrations (sweeps started) behind load_or_calibrate."""
     calls = []
-    real = micro_cache.calibrate
+    real = micro_cache.start_calibrate
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(micro_cache, "calibrate", counting)
+    monkeypatch.setattr(micro_cache, "start_calibrate", counting)
     return calls
 
 

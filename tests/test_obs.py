@@ -468,6 +468,89 @@ class TestExportAndReport:
 
 
 # ----------------------------------------------------------------------
+# cold start: the calibration sweep overlapping the case
+# ----------------------------------------------------------------------
+def _small_sweep(gpu=None, **_kwargs):
+    from repro.micro.calibration import start_calibrate
+
+    # Small enough to be quick, large enough to run on the pool.
+    return start_calibrate(gpu, warp_counts=(1, 32), iterations=20)
+
+
+def _assert_lifo(events: list[dict]) -> None:
+    """Main-lane spans nest: each lies inside its parent, and siblings
+    never overlap."""
+    spans = {
+        e["id"]: e
+        for e in events
+        if e["type"] == "span" and e["lane"] == "main"
+    }
+    siblings: dict = {}
+    for span in spans.values():
+        parent = spans.get(span["parent"])
+        if parent is not None:
+            assert parent["t0"] <= span["t0"], (span["name"], parent["name"])
+            assert span["t1"] <= parent["t1"], (span["name"], parent["name"])
+        siblings.setdefault(span["parent"], []).append(span)
+    for group in siblings.values():
+        group.sort(key=lambda span: span["t0"])
+        for before, after in zip(group, group[1:]):
+            assert before["t1"] <= after["t0"], (before["name"], after["name"])
+
+
+class TestColdStartSpans:
+    def test_sweep_wait_is_spanned_and_spans_stay_lifo(self):
+        from repro.apps.matmul import run_matmul
+
+        recorder = obs.start()
+        try:
+            with _small_sweep(HardwareGpu(workers=2)):
+                with obs.span("case"):
+                    run_matmul(64, 8)
+        finally:
+            obs.stop()
+        main = {
+            e["name"]: e
+            for e in recorder.events
+            if e["type"] == "span" and e["lane"] == "main"
+        }
+        assert main["pool.map_tasks"]["attrs"]["mode"] == "pool"
+        # The wait opens after the case, and the pool's span nests in it.
+        assert main["micro.calibrate.wait"]["t0"] >= main["case"]["t1"]
+        assert (
+            main["pool.map_tasks"]["parent"]
+            == main["micro.calibrate.wait"]["id"]
+        )
+        _assert_lifo(recorder.events)
+
+    def test_cold_cli_report_shows_the_wait(self, tmp_path, monkeypatch):
+        from repro.__main__ import main
+        from repro.micro import cache as micro_cache
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setattr(micro_cache, "start_calibrate", _small_sweep)
+        obs_dir = tmp_path / "obs"
+        argv = ["matmul", "--n", "128", "--tile", "16", "--workers", "2"]
+        assert main(["--obs", str(obs_dir), *argv]) == 0
+        built = report.build_report(obs_dir, top_spans=100)
+        names = {entry["name"] for entry in built["top_spans"]}
+        assert {
+            "micro.calibrate",
+            "micro.calibrate.wait",
+            "apps.inputs",
+            "app.execute",
+        } <= names
+        assert "micro.calibrate.wait" in report.render_text(built)
+        # Starting, simulating and waiting are all spanned: what stays
+        # unattributed is argument parsing and model construction.
+        wall = json.loads((obs_dir / "manifest.json").read_text())["wall_ms"]
+        assert built["unattributed_ms"] < 0.1 * wall
+        _assert_lifo(
+            [json.loads(line) for line in open(obs_dir / "events.jsonl")]
+        )
+
+
+# ----------------------------------------------------------------------
 # cache provenance in performance reports
 # ----------------------------------------------------------------------
 class TestCacheProvenance:
