@@ -6,8 +6,8 @@ Three layers, bottom to top:
   executes one symbolic block per dedup class, carrying for every lane
   an exact anchor value plus integer ``ctaid`` strides, or top.
 - :mod:`repro.analysis.dedup_proof` -- a segment-alignment proof over
-  global-address ctaid strides that certifies block-dedup classes
-  without probe simulations.
+  global-address ctaid strides that certifies block-dedup classes, so
+  the engine simulates one representative per proved class.
 - :mod:`repro.analysis.checks` / :mod:`repro.analysis.report` -- the
   kernel static checker (races, OOB, barrier divergence, uninitialized
   reads, dead stores) and the ``repro analyze`` report front-end.

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.arch.specs import WARP_SIZE, GpuSpec
+from repro.arch.specs import WARP_SIZE
 from repro.isa.opcodes import Opcode, OpKind
 from repro.isa.program import Kernel
 from repro.sim.functional import (
@@ -938,7 +938,6 @@ def trace_block_class(
     launch: LaunchConfig,
     box: ClassBox,
     *,
-    spec: GpuSpec | None = None,
     max_warp_instructions: int = 2_000_000,
     track_registers: bool = True,
     record_shared_accesses: bool = True,
@@ -959,7 +958,6 @@ def trace_block_class(
     addresses) -- the dedup proof consumes neither; global accesses and
     control evidence are unaffected.
     """
-    del spec  # reserved: bounds come from the kernel's own declaration
     tracer = _ClassTracer(
         kernel,
         launch,

@@ -168,7 +168,7 @@ class _DiagnosticFinder:
                 "nonuniform-control",
                 index,
                 f"{kind} predicate differs between blocks of one class "
-                f"({at}); dedup falls back to probes",
+                f"({at}); dedup simulates every member",
                 dedup_key=("nonuniform-control", index),
             )
 

@@ -2,8 +2,8 @@
 
 The engine's dedup (``sim/engine.py``) claims that every member of a
 :class:`~repro.sim.engine.BlockClass` produces the representative's
-trace.  Probe members spot-check the claim; this module *proves* it for
-affine kernels, so proved classes need zero probe simulations.
+trace; this module *proves* it for affine kernels, so a proved class
+simulates only its representative.
 
 The argument is translation invariance.  The concolic tracer
 (:mod:`repro.analysis.affine`) executes the class's anchor member and
@@ -28,8 +28,8 @@ On top of that, every shifted access range must stay inside the anchor
 address's allocation (same array name, cacheability, and arena bounds),
 and a launch recording absolute segment addresses
 (``record_segments``) cannot shift at all.  Anything the rules do not
-cover is *refused*, never guessed: the engine then falls back to the
-probe ladder, which is the status quo.
+cover is *refused*, never guessed: the engine then simulates every
+member of the class.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.arch.specs import HALF_WARP
 from repro.isa.program import Kernel
 from repro.sim.functional import LaunchConfig
 from repro.sim.memory import GlobalMemory
-from repro.analysis.affine import ClassBox, ClassTrace, trace_block_class
+from repro.analysis.affine import ClassBox, trace_block_class
 
 #: All supported transaction configs have power-of-two segments capped
 #: at this size; address shifts that are multiples of it translate the
@@ -71,7 +71,6 @@ def prove_block_class(
     members: list[tuple[int, int]],
     gmem: GlobalMemory,
     *,
-    trace: ClassTrace | None = None,
     max_warp_instructions: int = 2_000_000,
 ) -> ProofResult:
     """Try to prove every member of a class traces like the anchor.
@@ -79,7 +78,7 @@ def prove_block_class(
     ``members`` is the class's full member list; the anchor (minimum
     ctaid) must be the member the engine actually simulates.  Returns a
     :class:`ProofResult`; ``proved=False`` is always sound (the caller
-    falls back to probes) and carries the first obstruction found.
+    simulates every member) and carries the first obstruction found.
     """
     if len(members) < 2:
         return ProofResult(True, "singleton class", 0)
@@ -88,18 +87,17 @@ def prove_block_class(
     if box is None:
         return _refuse("class members do not tile a ctaid rectangle")
 
-    if trace is None:
-        trace = trace_block_class(
-            kernel,
-            launch,
-            box,
-            max_warp_instructions=max_warp_instructions,
-            # The proof reads global accesses, control evidence and the
-            # shared_strided flag only; skip the checker's register
-            # provenance and per-warp shared access records.
-            track_registers=False,
-            record_shared_accesses=False,
-        )
+    trace = trace_block_class(
+        kernel,
+        launch,
+        box,
+        max_warp_instructions=max_warp_instructions,
+        # The proof reads global accesses, control evidence and the
+        # shared_strided flag only; skip the checker's register
+        # provenance and per-warp shared access records.
+        track_registers=False,
+        record_shared_accesses=False,
+    )
 
     if not trace.complete:
         index, code, message = trace.incomplete

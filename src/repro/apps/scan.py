@@ -13,9 +13,9 @@ without ghost padding.
 This is the ROADMAP's "genuinely heterogeneous classes" scenario: the
 guard routes ``ctaid`` into control flow, so the simulation engine's
 taint analysis refuses single-class dedup and partitions the grid by
-boundary role (first/interior/last along x) -- three probe-verified
-classes instead of one, with the tail block's shorter activity caught
-by the last-member probe.
+boundary role (first/interior/last along x) -- three proof-verified
+classes instead of one, with the tail block's shorter activity in its
+own last-block class.
 
 Both element types the pipeline models are supported: ``f32`` sums in
 float32 operation order (validated bit-exactly against a NumPy

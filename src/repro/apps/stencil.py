@@ -13,13 +13,13 @@ Two boundary layouts share that structure:
   each end, so halo loads never leave the allocation and every block
   executes the identical instruction sequence (no boundary
   special-casing) -- a block-uniform kernel the engine dedups to a
-  single probe-verified class;
+  single proof-verified class;
 * **guarded** (``guarded=True``): no ghost cells -- the edge threads
   *predicate* their halo loads on the block's grid position (``ctaid``
   against 0 and ``nctaid - 1``) and default the missing neighbour to
   the zero Dirichlet boundary.  ``ctaid`` thereby reaches control
   flow, so the engine partitions the grid by boundary role
-  (first/interior/last) into three probe-verified classes -- the same
+  (first/interior/last) into three proof-verified classes -- the same
   sweep, exercised through heterogeneous dedup.  With zero-valued
   ghost cells the two layouts produce bit-identical results (the
   compute phase is instruction-for-instruction the same).

@@ -45,16 +45,6 @@ class DivergenceError(SimulationError):
     """Control flow diverged in a way the simulator does not support."""
 
 
-class AnalysisError(ReproError):
-    """Static analysis reached an inconsistent conclusion.
-
-    Raised, for example, when the dedup soundness proof certifies a
-    block class whose probe simulations then disagree -- that means a
-    bug in either the prover or the simulator and must never be
-    silently demoted.
-    """
-
-
 class HardwareModelError(ReproError):
     """The hardware timing simulator was configured or used incorrectly."""
 

@@ -143,7 +143,8 @@ class HealthRecord:
     cache_quarantines: int = 0
     #: Cache stores that failed open (fsync/write/replace errors).
     cache_write_errors: int = 0
-    #: Multi-member dedup classes the static proof refused (probed).
+    #: Multi-member dedup classes the static proof refused (every
+    #: member simulated).
     proof_fallbacks: int = 0
 
     @property

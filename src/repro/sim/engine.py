@@ -17,17 +17,14 @@ pattern -- so the engine exploits that structure instead of brute force:
    per class is simulated and its :class:`BlockTrace` is replicated with
    the exact class multiplicity (:func:`aggregate_weighted` -- no
    representative-sample extrapolation).
-2. **Verification: proof, then probes.**  Taint analysis is
+2. **Verification: the static proof.**  Taint analysis is
    conservative about what it *refuses* to dedup, but it cannot show
    that block-dependent global addresses preserve coalescing.  Every
-   multi-member class first goes to the static soundness proof
+   multi-member class goes to the static soundness proof
    (:mod:`repro.analysis.dedup_proof`); a proved class simulates only
-   its representative.  A class the proof refuses is probe-verified:
-   up to three more members (:attr:`BlockClass.verifiers`) are
-   simulated and their behavioural fingerprints
-   (:meth:`BlockTrace.stats_key`) compared with the representative's;
-   on mismatch the class is demoted and every member is simulated
-   individually.
+   its representative.  A class the proof refuses is split into one
+   class per member before anything is simulated, so every member is
+   interpreted and the aggregate stays exact.
 3. **Parallel fan-out.**  Blocks that do need simulating are distributed
    over a ``multiprocessing`` pool (``workers`` > 1).  Each worker gets
    the pre-launch global-memory arena through the pool initializer
@@ -250,37 +247,14 @@ class BlockClass:
     members: list[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        # Canonical member order: the representative and the probe
-        # picks must not depend on grid iteration order, and the dedup
-        # proof anchors at the minimum ctaid.
+        # Canonical member order: the representative must not depend on
+        # grid iteration order, and the dedup proof anchors at the
+        # minimum ctaid.
         self.members = sorted(self.members)
 
     @property
     def representative(self) -> tuple[int, int]:
         return self.members[0]
-
-    @property
-    def verifiers(self) -> tuple[tuple[int, int], ...]:
-        """Extra members simulated to confirm the equivalence claim.
-
-        Three probes when available: the representative's *neighbour*
-        (catches parity/phase patterns a same-phase distant pick would
-        miss), the *median* member (catches drift across the class),
-        and the *last* member.  The last probe makes the class sound
-        for any per-block activity pattern that is monotone in member
-        order -- e.g. a ``gid < n`` tail guard whose cutoff falls
-        strictly inside the class: if first and last members agree, no
-        monotone cutoff can separate the members between them.
-        """
-        if len(self.members) < 2:
-            return ()
-        picks = {
-            self.members[1],
-            self.members[len(self.members) // 2],
-            self.members[-1],
-        }
-        picks.discard(self.representative)
-        return tuple(sorted(picks))
 
 
 def _role(index: int, extent: int) -> int:
@@ -308,7 +282,7 @@ def partition_blocks(
             )
         return [BlockClass(members) for members in by_role.values()]
     # Block coordinates reach at most global addresses (uniform base
-    # shifts); the whole grid is one candidate class, probe-verified.
+    # shifts); the whole grid is one candidate class for the proof.
     return [BlockClass(blocks)]
 
 
@@ -328,13 +302,12 @@ class EngineStats:
     simulated_blocks: int
     replicated_blocks: int
     block_classes: int
-    probe_fallbacks: int
     workers: int
     cache_hit: bool
     wall_seconds: float
     mode: str  # 'dedup' | 'full' | 'sample'
     #: Multi-member classes whose equivalence the static proof
-    #: certified, skipping their verifier probes entirely.
+    #: certified, so only their representative was simulated.
     proved_classes: int = 0
     #: Always 0: every dedup class's representative is interpreted.
     #: Kept because benchmark tooling reads ``synthesized_classes``
@@ -636,7 +609,6 @@ class SimulationEngine:
         metrics.inc(
             "engine.classes.interpreted", stats.interpreted_classes
         )
-        metrics.inc("engine.probe_fallbacks", stats.probe_fallbacks)
         metrics.observe("engine.wall_seconds", stats.wall_seconds)
         metrics.absorb_health("engine", stats.health)
 
@@ -712,7 +684,6 @@ class SimulationEngine:
         launch: LaunchConfig,
         simulated: int,
         classes: int,
-        fallbacks: int,
         mode: str,
         started: float,
         proved: int = 0,
@@ -726,7 +697,6 @@ class SimulationEngine:
                 max(total - simulated, 0) if dedup else 0
             ),
             block_classes=classes if dedup else 0,
-            probe_fallbacks=fallbacks,
             workers=self.workers,
             cache_hit=False,
             wall_seconds=time.perf_counter() - started,
@@ -744,7 +714,7 @@ class SimulationEngine:
         traces = self._simulate(launch, blocks)
         self._warn_cross_block_raw(traces)
         trace = aggregate_blocks(traces, scale_to_blocks=launch.num_blocks)
-        stats = self._stats(launch, len(blocks), 0, 0, "sample", started)
+        stats = self._stats(launch, len(blocks), 0, "sample", started)
         return trace, stats
 
     def _run_full(
@@ -754,7 +724,7 @@ class SimulationEngine:
         traces = self._simulate(launch, blocks)
         self._warn_cross_block_raw(traces)
         trace = aggregate_blocks(traces)
-        stats = self._stats(launch, len(blocks), 0, 0, "full", started)
+        stats = self._stats(launch, len(blocks), 0, "full", started)
         return trace, stats
 
     def _run_dedup(
@@ -762,110 +732,65 @@ class SimulationEngine:
     ) -> tuple[KernelTrace, EngineStats]:
         from repro import obs
 
-        classes = partition_blocks(launch, self.dependence)
-
-        # Phase 0: static soundness proof.  A proved class is exact by
-        # translation invariance, so its verifier probes are skipped
-        # entirely.
         # Imported lazily: repro.analysis.checks imports this module for
         # the taint pass and the block partitioner.
         from repro.analysis.dedup_proof import prove_block_class
 
-        proved: set[int] = set()
-        with obs.span("engine.proof", classes=len(classes)):
-            for index, cls in enumerate(classes):
-                if cls.verifiers and prove_block_class(
+        # Phase 1: static soundness proof.  A proved class is exact by
+        # translation invariance and keeps its single representative; a
+        # refused class becomes one class per member, so every member
+        # is simulated.
+        candidates = partition_blocks(launch, self.dependence)
+        classes: list[BlockClass] = []
+        proved = 0
+        with obs.span("engine.proof", classes=len(candidates)):
+            for cls in candidates:
+                if len(cls.members) < 2:
+                    classes.append(cls)
+                elif prove_block_class(
                     self.kernel, launch, cls.members, self.gmem
                 ).proved:
-                    proved.add(index)
-        # Multi-member classes the proof did not certify fall back to
-        # probe simulation.
-        self._proof_fallbacks = sum(
-            1
-            for index, cls in enumerate(classes)
-            if cls.verifiers and index not in proved
-        )
+                    classes.append(cls)
+                    proved += 1
+                else:
+                    classes.extend(BlockClass([b]) for b in cls.members)
+                    self._proof_fallbacks += 1
 
-        # Phase 1: representatives plus the verification members of
-        # every unproved multi-member class, all simulated in one
-        # (possibly parallel) batch.
-        probe_blocks: list[tuple[int, int]] = []
-        for index, cls in enumerate(classes):
-            probe_blocks.append(cls.representative)
-            if cls.verifiers and index not in proved:
-                probe_blocks.extend(cls.verifiers)
-        probe_traces = dict(
-            zip(probe_blocks, self._simulate(launch, probe_blocks))
+        # Phase 2: every representative in one (possibly parallel) batch.
+        traces = self._simulate(
+            launch, [cls.representative for cls in classes]
         )
-
-        # Phase 2: verify; classes with any disagreeing probe are
-        # demoted and every member is simulated individually.
-        fallback_blocks: list[tuple[int, int]] = []
-        demoted: set[int] = set()
-        with obs.span("engine.verify", probes=len(probe_blocks)):
-            for index, cls in enumerate(classes):
-                if not cls.verifiers or index in proved:
-                    continue
-                rep_key = probe_traces[cls.representative].stats_key()
-                if any(
-                    probe_traces[v].stats_key() != rep_key
-                    for v in cls.verifiers
-                ):
-                    demoted.add(index)
-                    fallback_blocks.extend(
-                        b for b in cls.members if b not in probe_traces
-                    )
-        fallback_traces = dict(
-            zip(fallback_blocks, self._simulate(launch, fallback_blocks))
-        )
-        simulated_traces = {**probe_traces, **fallback_traces}
-        # Data-dependent grids are all singleton classes, so at this
-        # point every block has a real trace: check cross-block RAW.
-        self._warn_cross_block_raw(list(simulated_traces.values()))
+        # Data-dependent grids are all singleton classes, so every block
+        # has a real trace here: check cross-block RAW.
+        self._warn_cross_block_raw(traces)
 
         # Phase 3: exact aggregation with per-class multiplicities, and
         # a per-block trace table so the timing simulator sees the right
         # stream at every block index.
-        with obs.span(
-            "engine.aggregate",
-            classes=len(classes),
-            demoted=len(demoted),
-        ):
-            entries: list[tuple[BlockTrace, int]] = []
-            trace_for: dict[tuple[int, int], BlockTrace] = {}
-            for index, cls in enumerate(classes):
-                if index not in demoted:
-                    # Verifier traces equal the representative's, so
-                    # one entry with the full multiplicity is exact.
-                    rep_trace = simulated_traces[cls.representative]
-                    entries.append((rep_trace, len(cls.members)))
-                    for member in cls.members:
-                        trace_for[member] = rep_trace
-                else:
-                    for member in cls.members:
-                        member_trace = simulated_traces[member]
-                        entries.append((member_trace, 1))
-                        trace_for[member] = member_trace
-
+        with obs.span("engine.aggregate", classes=len(classes)):
             trace = aggregate_weighted(
-                [t for t, _ in entries], [m for _, m in entries]
+                traces, [len(cls.members) for cls in classes]
             )
-            if len(entries) == 1:
+            if len(classes) == 1:
                 # Homogeneous grid: a single representative lets the
                 # timing simulator use its fast wave-extrapolation path.
-                trace.block_traces = [entries[0][0]]
+                trace.block_traces = traces
             else:
+                trace_for = {
+                    member: rep_trace
+                    for cls, rep_trace in zip(classes, traces)
+                    for member in cls.members
+                }
                 trace.block_traces = [
                     trace_for[b] for b in launch.all_blocks()
                 ]
         stats = self._stats(
             launch,
-            len(simulated_traces),
+            len(traces),
             len(classes),
-            len(demoted),
             "dedup",
             started,
-            proved=len(proved),
+            proved=proved,
         )
         return trace, stats
 

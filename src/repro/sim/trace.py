@@ -233,10 +233,10 @@ class BlockTrace:
     they are deliberately excluded from :meth:`stats_key`, since
     block-shifted bases move the footprint without changing behaviour.
 
-    The stream digest and behavioural fingerprint are memoized on the
-    trace (keyed by the per-warp stream lengths, which any legitimate
-    stream mutation changes), so very large data-dependent class tables
-    are hashed once instead of once per ``MeasuredRunCache`` lookup.
+    The stream digest is memoized on the trace (keyed by the per-warp
+    stream lengths, which any legitimate stream mutation changes), so
+    very large data-dependent class tables are hashed once instead of
+    once per ``MeasuredRunCache`` lookup.
     Mutating events *in place* without changing stream lengths bypasses
     the invalidation -- streams are append-only records everywhere in
     this codebase.
@@ -248,9 +248,6 @@ class BlockTrace:
     global_load_ranges: tuple[tuple[int, int], ...] = ()
     global_store_ranges: tuple[tuple[int, int], ...] = ()
     _digest_memo: tuple | None = field(
-        default=None, repr=False, compare=False
-    )
-    _stats_key_memo: tuple | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -266,12 +263,11 @@ class BlockTrace:
         return total
 
     def __getstate__(self):
-        # The memos are cheap to rebuild and would otherwise serialize a
+        # The memo is cheap to rebuild and would otherwise serialize a
         # second rendering of the streams into every on-disk cache entry
         # and worker IPC message.
         state = self.__dict__.copy()
         state["_digest_memo"] = None
-        state["_stats_key_memo"] = None
         return state
 
     def _stream_lengths(self) -> tuple[int, ...]:
@@ -293,18 +289,12 @@ class BlockTrace:
         Block coordinates are deliberately excluded: two blocks with
         equal keys produced indistinguishable statistics and warp
         streams, so either can stand in for the other (the engine's
-        deduplication test).
+        deduplication claim).
         """
-        lengths = self._stream_lengths()
-        memo = self._stats_key_memo
-        if memo is not None and memo[0] == lengths:
-            return memo[1]
-        key = (
+        return (
             tuple(stage.canonical() for stage in self.stages),
             tuple(tuple(stream) for stream in self.warp_streams),
         )
-        self._stats_key_memo = (lengths, key)
-        return key
 
 
 @dataclass

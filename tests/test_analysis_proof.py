@@ -1,6 +1,5 @@
-"""Dedup soundness proof: zero-probe runs, differential traces, audits."""
-
-import pickle
+"""Dedup soundness proof: one-representative runs, differential traces,
+audits."""
 
 import pytest
 
@@ -46,9 +45,9 @@ class TestProofCoverage:
         trace = engine.run(case.launch)
         stats = trace.engine_stats
         # Every multi-member class proved: exactly one simulation per
-        # class, zero verifier probes, zero fallbacks.
+        # class, zero fallbacks.
         assert stats.simulated_blocks == stats.block_classes
-        assert stats.probe_fallbacks == 0
+        assert stats.health.proof_fallbacks == 0
         multi = sum(
             1
             for cls in partition_blocks(
@@ -67,7 +66,7 @@ class TestProofCoverage:
 
 
 def _refuse_every_class(monkeypatch):
-    """Make the engine probe-verify every class, as without a proof."""
+    """Make the engine simulate every block, as without a proof."""
     import repro.analysis.dedup_proof as dedup_proof
 
     monkeypatch.setattr(
@@ -78,10 +77,23 @@ def _refuse_every_class(monkeypatch):
 
 
 def _run_engine(case):
-    """Pickled trace (minus its stats, which legitimately differ) and stats."""
+    """What a proved and a refused run must agree on, plus the stats.
+
+    A refused class keeps each member's own ``BlockTrace`` (with its
+    block coordinates and footprints), so whole pickles differ; the
+    statistics and every block's event streams must not.
+    """
     trace = SimulationEngine(case.kernel, gmem=case.gmem).run(case.launch)
-    stats, trace.engine_stats = trace.engine_stats, None
-    return pickle.dumps(trace), stats
+    per_block = trace.block_traces
+    if len(per_block) == 1:  # homogeneous grid: one shared representative
+        per_block = per_block * case.launch.num_blocks
+    assert len(per_block) == case.launch.num_blocks
+    outputs = (
+        [stage.canonical() for stage in trace.stages],
+        trace.exact,
+        [block.stream_digest() for block in per_block],
+    )
+    return outputs, trace.engine_stats
 
 
 class TestDifferentialProofVsProbe:
@@ -90,30 +102,39 @@ class TestDifferentialProofVsProbe:
         case = analysis_case(name)
         proof, proof_stats = _run_engine(case)
         _refuse_every_class(monkeypatch)
-        probe, probe_stats = _run_engine(case)
-        assert proof == probe
-        assert probe_stats.proved_classes == 0
-        assert probe_stats.health.proof_fallbacks == proof_stats.proved_classes
+        refused, refused_stats = _run_engine(analysis_case(name))
+        assert proof == refused
+        assert refused_stats.proved_classes == 0
+        assert refused_stats.simulated_blocks == refused_stats.total_blocks
+        assert (
+            refused_stats.health.proof_fallbacks
+            == proof_stats.proved_classes
+        )
 
 
 class TestProofAudit:
     @pytest.mark.parametrize("name", AFFINE_KERNELS)
     def test_proved_class_verifiers_match_representative(self, name):
-        # The proof skips probes at run time; simulate them here and
-        # check that every certified class really is uniform.
+        # The engine simulates only the representative of a proved
+        # class; simulate every member here and check that each
+        # certified class really is uniform.
         case = analysis_case(name)
         simulator = FunctionalSimulator(case.kernel, gmem=case.gmem)
         classes = partition_blocks(case.launch, analyze_dependence(case.kernel))
         audited = 0
         for cls in classes:
-            if not cls.verifiers or not prove_block_class(
+            if len(cls.members) < 2 or not prove_block_class(
                 case.kernel, case.launch, cls.members, case.gmem
             ).proved:
                 continue
-            blocks = [cls.representative, *cls.verifiers]
-            traces = simulator.run_blocks(case.launch, blocks)
+            traces = simulator.run_blocks(case.launch, cls.members)
             keys = [trace.stats_key() for trace in traces]
-            assert keys[1:] == [keys[0]] * len(cls.verifiers), cls.members[0]
+            mismatched = [
+                member
+                for member, key in zip(cls.members, keys)
+                if key != keys[0]
+            ]
+            assert not mismatched, (cls.representative, mismatched)
             audited += 1
         assert audited
 
@@ -121,7 +142,7 @@ class TestProofAudit:
 class TestProofProbeContradiction:
     def _parity_kernel(self, gmem):
         # Work depends on ctaid parity: any single-class claim over the
-        # interior is wrong, and honest probes catch it.
+        # interior is wrong, and an honest prover refuses it.
         out = gmem.alloc(32 * 4, "out")
         b = KernelBuilder("parity", params=("out",))
         even = b.reg()
@@ -147,14 +168,19 @@ class TestProofProbeContradiction:
         result = prove_block_class(kernel, launch, interior.members, gmem)
         assert not result.proved
 
-    def test_proof_mode_still_probes_unproved_classes(self):
+    def test_refused_class_simulates_every_member(self):
         gmem = GlobalMemory()
         kernel, params = self._parity_kernel(gmem)
         launch = LaunchConfig(grid=(10, 1), block_threads=32, params=params)
         engine = SimulationEngine(kernel, gmem=gmem)
-        stats = engine.run(launch).engine_stats
+        trace = engine.run(launch)
+        stats = trace.engine_stats
         assert stats.proved_classes == 0
-        assert stats.probe_fallbacks >= 1
+        assert stats.health.proof_fallbacks == 1
+        assert stats.simulated_blocks == launch.num_blocks
+        assert stats.replicated_blocks == 0
+        # Each block is backed by its own trace, not a stand-in.
+        assert [t.block for t in trace.block_traces] == launch.all_blocks()
 
 
 class TestMemberOrderDeterminism:
@@ -163,11 +189,10 @@ class TestMemberOrderDeterminism:
         cls = BlockClass(shuffled)
         assert cls.members == sorted(shuffled)
         assert cls.representative == (0, 0)
-        assert cls.verifiers == ((1, 0), (4, 0), (7, 0))
 
     def test_probe_picks_survive_reordering(self):
         members = [(x, y) for y in range(2) for x in range(3)]
         forward = BlockClass(list(members))
         backward = BlockClass(list(reversed(members)))
+        assert forward.members == backward.members
         assert forward.representative == backward.representative
-        assert forward.verifiers == backward.verifiers

@@ -62,7 +62,8 @@ class TestEngine:
         trace = engine.run(problem.launch())
         stats = trace.engine_stats
         assert stats.block_classes == 1
-        assert stats.simulated_blocks <= 4  # representative + probes
+        assert stats.proved_classes == 1
+        assert stats.simulated_blocks == 1  # the representative only
         assert trace.exact
 
     def test_grid_batch_bit_identical_to_oracle(self):

@@ -71,7 +71,7 @@ class TestEngine:
         stats = trace.engine_stats
         assert stats.block_classes > 1
         assert stats.block_classes == 3  # first / interior / last
-        assert stats.probe_fallbacks == 0  # probe verification passed
+        assert stats.health.proof_fallbacks == 0  # every class proved
         assert stats.simulated_blocks < stats.total_blocks
         assert trace.exact
 

@@ -64,7 +64,8 @@ class TestEngine:
         trace = engine.run(problem.launch())
         stats = trace.engine_stats
         assert stats.block_classes == 1
-        assert stats.simulated_blocks <= 4
+        assert stats.proved_classes == 1
+        assert stats.simulated_blocks == 1
         assert trace.exact
 
     def test_grid_batch_bit_identical_to_oracle(self):
@@ -134,7 +135,7 @@ class TestGuardedVariant:
         )
         stats = trace.engine_stats
         assert stats.block_classes == 3  # first / interior / last
-        assert stats.probe_fallbacks == 0
+        assert stats.health.proof_fallbacks == 0
         assert trace.exact
 
     def test_grid_batch_bit_identical_to_oracle(self):

@@ -408,7 +408,7 @@ class TestEngineFailureMatrix:
 
 
 # ----------------------------------------------------------------------
-# engine-level matrix (matmul: block-uniform, pooled probe path)
+# engine-level matrix (matmul: block-uniform, pooled full-grid path)
 # ----------------------------------------------------------------------
 
 

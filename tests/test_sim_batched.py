@@ -563,13 +563,6 @@ class TestDigestMemoization:
         assert after != before
         assert after == stream_digest(trace.warp_streams)
 
-    def test_stats_key_cached_and_invalidated(self):
-        trace = self._trace()
-        key = trace.stats_key()
-        assert trace.stats_key() is trace._stats_key_memo[1]
-        trace.warp_streams[0].append((0, 0, 0, 0, None))
-        assert trace.stats_key() != key
-
     def test_hw_engine_reexports_stream_digest(self):
         from repro.hw.engine import stream_digest as hw_digest
 

@@ -119,10 +119,7 @@ class TestPartitioning:
         classes = partition_blocks(launch, analyze_dependence(kernel))
         assert len(classes) == 1
         assert len(classes[0].members) == 8
-        # Three verifiers: the representative's neighbour, the median,
-        # and the last member (monotone-cutoff soundness).
-        assert classes[0].verifiers == ((1, 0), (4, 0), (7, 0))
-        assert classes[0].representative not in classes[0].verifiers
+        assert classes[0].representative == (0, 0)
 
     def test_tail_guard_partitions_by_boundary_role(self):
         gmem = GlobalMemory()
@@ -179,7 +176,7 @@ class TestDifferentialEquivalence:
         stats = fast.engine_stats
         assert stats.block_classes == 1
         # The dedup proof certifies the class: only its representative
-        # is interpreted, with no verifier probes.
+        # is interpreted.
         assert stats.proved_classes == 1
         assert stats.interpreted_classes == 1
         assert stats.simulated_blocks == 1
@@ -252,10 +249,12 @@ class TestDifferentialEquivalence:
 
 
 class TestProbeVerification:
+    """Classes the dedup proof refuses: every member is simulated."""
+
     def test_misclassified_grid_falls_back_to_full_simulation(self):
         # Force a wrong single-class claim: a tail-guarded kernel whose
-        # dependence is overridden to look block-uniform.  The verifier
-        # probe must catch the mismatch and demote the class.
+        # dependence is overridden to look block-uniform.  The proof
+        # must refuse the class, so every block is simulated.
         gmem = GlobalMemory()
         kernel, params = _tail_guarded_kernel(gmem, 100)
         launch = LaunchConfig(grid=(6, 1), block_threads=32, params=params)
@@ -268,16 +267,14 @@ class TestProbeVerification:
         engine.dependence = analyze_dependence(build_matmul_kernel(128, 8))
         fast = engine.run(launch)
 
-        assert fast.engine_stats.probe_fallbacks == 1
+        assert fast.engine_stats.health.proof_fallbacks == 1
         assert fast.engine_stats.simulated_blocks == launch.num_blocks
         assert _canonical(fast) == _canonical(serial)
 
     def test_mid_class_tail_cutoff_is_caught_by_last_probe(self):
         # Guard cutoff strictly inside the interior role class: blocks
-        # 1-12 fully active, 13 partial, 14 inactive, and the first /
-        # median probes all land on fully active members.  Only the
-        # last-member probe separates the class; without it the engine
-        # silently replicated an over-counting representative.
+        # 1-12 fully active, 13 partial, 14 inactive.  Replicating the
+        # representative would over-count the class.
         gmem = GlobalMemory()
         kernel, params = _tail_guarded_kernel(gmem, 432)
         launch = LaunchConfig(grid=(16, 1), block_threads=32, params=params)
@@ -286,13 +283,12 @@ class TestProbeVerification:
         gmem2 = GlobalMemory()
         kernel2, _ = _tail_guarded_kernel(gmem2, 432)
         fast = SimulationEngine(kernel2, gmem=gmem2).run(launch)
-        assert fast.engine_stats.probe_fallbacks >= 1
+        assert fast.engine_stats.health.proof_fallbacks >= 1
         assert _canonical(fast) == _canonical(serial)
 
     def test_parity_pattern_is_caught_by_neighbour_verifier(self):
-        # A kernel whose work depends on ctaid_x parity: the median
-        # verifier of the interior class shares the representative's
-        # parity, so only the neighbour probe can expose the mismatch.
+        # A kernel whose work depends on ctaid_x parity: half of the
+        # interior class differs from the representative.
         def build(gmem):
             out = gmem.alloc(32, "out")
             b = KernelBuilder("parity", params=("out",))
@@ -320,8 +316,44 @@ class TestProbeVerification:
         kernel2, _ = build(gmem2)
         engine = SimulationEngine(kernel2, gmem=gmem2)
         fast = engine.run(launch)
-        assert fast.engine_stats.probe_fallbacks >= 1
+        assert fast.engine_stats.health.proof_fallbacks >= 1
         assert _canonical(fast) == _canonical(serial)
+
+    def test_lone_outlier_block_is_counted(self):
+        # Only block 3 does extra work.  A spot check of a few interior
+        # members can miss it; the dedup run must still match the full
+        # grid instruction for instruction.
+        def build(gmem):
+            out = gmem.alloc(32, "out")
+            b = KernelBuilder("outlier", params=("out",))
+            p = b.pred()
+            b.isetp(p, "eq", b.ctaid_x, Imm(3))
+            v = b.reg()
+            b.mov(v, Imm(1.0))
+            with b.if_then(p):
+                b.fadd(v, v, v)
+                b.fadd(v, v, v)
+            addr = b.reg()
+            b.imad(addr, b.tid, Imm(4), b.param("out"))
+            b.stg(addr, v)
+            b.exit()
+            return b.build(), {"out": out}
+
+        gmem = GlobalMemory()
+        kernel, params = build(gmem)
+        launch = LaunchConfig(grid=(10, 1), block_threads=32, params=params)
+        full = SimulationEngine(kernel, gmem=gmem).run(launch, dedup=False)
+
+        gmem2 = GlobalMemory()
+        kernel2, _ = build(gmem2)
+        fast = SimulationEngine(kernel2, gmem=gmem2).run(launch)
+        assert fast.totals.canonical() == full.totals.canonical()
+        assert _canonical(fast) == _canonical(full)
+        assert fast.exact
+        # The interior class (blocks 1-8) is refused and split; the
+        # first and last blocks are one-block classes.
+        assert fast.engine_stats.health.proof_fallbacks == 1
+        assert fast.engine_stats.simulated_blocks == 10
 
 
 def _range_trace(block, loads=(), stores=()):
