@@ -2,12 +2,14 @@
 
 Three layers, bottom to top:
 
-- :mod:`repro.analysis.affine` -- a concolic per-class tracer that
-  executes one symbolic block per dedup class, carrying for every lane
-  an exact anchor value plus integer ``ctaid`` strides, or top.
+- :mod:`repro.analysis.affine` -- the evidence recorder: while the
+  batched interpreter runs a class's anchor block, it shadows every
+  lane's value with exact integer ``ctaid`` strides, or top, and
+  records the class's accesses and control evidence.
 - :mod:`repro.analysis.dedup_proof` -- a segment-alignment proof over
-  global-address ctaid strides that certifies block-dedup classes, so
-  the engine simulates one representative per proved class.
+  that evidence's global-address ctaid strides that certifies
+  block-dedup classes, so the engine simulates one representative per
+  proved class.
 - :mod:`repro.analysis.checks` / :mod:`repro.analysis.report` -- the
   kernel static checker (races, OOB, barrier divergence, uninitialized
   reads, dead stores) and the ``repro analyze`` report front-end.

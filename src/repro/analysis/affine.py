@@ -1,25 +1,36 @@
-"""Concolic affine interpretation over the kernel ISA.
+"""Affine evidence, recorded while the interpreter runs a class anchor.
 
-:func:`trace_block_class` executes ONE symbolic block per dedup class,
-sharing the instruction semantics of the functional simulator.  Each
-lane carries a concrete *anchor* value (the class's minimum-ctaid
-member, evaluated with the exact float32/int64 semantics of
-``_EVAL_TABLE``) plus two exact integer strides ``d(value)/d(ctaid_x)``
-and ``d(value)/d(ctaid_y)`` and a ``top`` flag.  Affine values are
-exact for every member of the class; anything nonlinear in ctaid
-degrades to ``top``.  Predicates additionally track *class uniformity*,
-decided by evaluating the comparison at the corners of the class's
-ctaid box (an affine function attains its extremes at box corners, so
-corner agreement is a proof, not a heuristic).
+The dedup proof (:mod:`repro.analysis.dedup_proof`) and the static
+checker (:mod:`repro.analysis.checks`) reason about one block class at
+a time: a ctaid rectangle (:class:`ClassBox`) whose anchor is its
+minimum-ctaid member.  Their evidence comes from the one ISA semantics
+the simulator has: the batched interpreter
+(``repro.sim.functional._BatchedInterpreter``) runs the anchor block,
+and when the block's slab slot carries a box it hands every step, with
+the lane masks it computed, to a :class:`ClassRecorder` *before* the
+instruction executes.
+
+The recorder keeps a shadow beside the interpreter's concrete values:
+per lane, two exact integer strides ``d(value)/d(ctaid_x)`` and
+``d(value)/d(ctaid_y)`` and a ``top`` flag, for registers and shared
+words.  Affine values are exact for every member of the class; anything
+nonlinear in ctaid degrades to ``top``, as does every value loaded from
+global memory.  Predicates additionally track *class uniformity*,
+decided by evaluating the comparison at the corners of the class box
+(an affine function attains its extremes at box corners, so corner
+agreement is a proof, not a heuristic).  The anchor values are the
+interpreter's own; on a ``top`` lane they are whatever the loaded data
+made them, which no consumer reads.
+
+Where the shadow cannot follow soundly -- a guard on a data-dependent
+predicate, a shared address computed from loaded data, a shared access
+out of bounds, a divergent barrier -- or the interpreter raises, the
+recorder marks the trace ``incomplete`` and records nothing more.
 
 The static question "can ``ctaid`` or loaded data change a block's
 trace?" is answered once, launch-independently, by the taint pass
 ``analyze_dependence`` in ``sim/engine.py``; this module works per
 launch and per class.
-
-The tracer is the evidence source for both the dedup soundness proof
-(:mod:`repro.analysis.dedup_proof`) and the static checker
-(:mod:`repro.analysis.checks`).
 """
 
 from __future__ import annotations
@@ -29,23 +40,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.arch.specs import WARP_SIZE
+from repro.errors import DivergenceError, MemoryAccessError, SimulationError
 from repro.isa.opcodes import Opcode, OpKind
 from repro.isa.program import Kernel
-from repro.sim.functional import (
-    _CMP_FUNCS,
-    _EVAL_TABLE,
-    _Decoded,
-    LaunchConfig,
-)
+from repro.sim.functional import FunctionalSimulator, LaunchConfig
+from repro.sim.memory import GlobalMemory
 
 _LINEAR_SIGN = {Opcode.IADD: 1, Opcode.ISUB: -1}
+#: Stride rules that read operand values, not only their strides.
+_VALUE_RULES = (Opcode.IMUL, Opcode.IMAD, Opcode.ISHL)
 
 _LOAD_KINDS = (OpKind.LOAD_GLOBAL, OpKind.LOAD_SHARED)
 _STORE_KINDS = (OpKind.STORE_GLOBAL, OpKind.STORE_SHARED)
 
 
 # --------------------------------------------------------------------------
-# Concolic per-class tracer
+# Evidence format
 # --------------------------------------------------------------------------
 
 
@@ -89,9 +99,9 @@ class ClassBox:
         return offsets.min(axis=0), offsets.max(axis=0)
 
 
-@dataclass
+@dataclass(slots=True)
 class GlobalAccess:
-    """One global-memory instruction issue observed by the tracer."""
+    """One global-memory instruction issue of one warp."""
 
     index: int
     warp: int
@@ -103,7 +113,7 @@ class GlobalAccess:
     unknown: bool = False  # some active lane's address is top
 
 
-@dataclass
+@dataclass(slots=True)
 class SharedAccess:
     """One shared-memory touch (load / store / arithmetic operand)."""
 
@@ -123,7 +133,7 @@ class SharedAccess:
 
 @dataclass
 class ClassTrace:
-    """Everything the symbolic execution of one class observed."""
+    """Everything recorded while one class's anchor block ran."""
 
     kernel: str
     box: ClassBox
@@ -133,13 +143,14 @@ class ClassTrace:
     #: (index, kind) pairs where control varies across class members.
     nonuniform_control: list = field(default_factory=list)
     #: (index,) of the first shared access whose address varies across
-    #: class members, or None.  Recorded even when per-warp shared
-    #: access records are disabled (the dedup proof's lean mode).
+    #: class members, or None.
     shared_strided: tuple | None = None
     #: (index, warp) if a barrier was reached by a divergent warp.
     divergent_barrier: tuple | None = None
-    #: (index, code, message) if the trace aborted early.
-    incomplete: tuple | None = None
+    #: (index, code, message) if recording stopped early.  A trace no
+    #: anchor run has filled yet says so here, so it can never pass for
+    #: complete, empty evidence.
+    incomplete: tuple | None = (-1, "unrecorded", "the anchor has not run")
     #: (index, register) pairs reading a never-written register.
     uninit_reads: list = field(default_factory=list)
     #: static instruction -> dynamic register-write instances.
@@ -152,8 +163,15 @@ class ClassTrace:
         return self.incomplete is None
 
 
+#: Lane indices of a fully-active warp, shared by every access record,
+#: and the row selection that picks them.
+_FULL_WARP_LANES = np.arange(WARP_SIZE)
+_FULL_WARP_LANES.setflags(write=False)
+_ALL = slice(None)
+
+
 class _Abort(Exception):
-    """Internal: the tracer cannot continue soundly."""
+    """Internal: the shadow cannot follow the anchor soundly."""
 
     def __init__(self, index: int, code: str, message: str) -> None:
         super().__init__(message)
@@ -162,95 +180,23 @@ class _Abort(Exception):
         self.message = message
 
 
-class _TracerWarp:
-    __slots__ = (
-        "index",
-        "rows",
-        "pc",
-        "exited",
-        "at_barrier",
-        "issued",
-        "cur",
-        "converged",
-    )
-
-    def __init__(self, index: int, alive: np.ndarray) -> None:
-        self.index = index
-        self.rows = np.arange(
-            index * WARP_SIZE, (index + 1) * WARP_SIZE, dtype=np.intp
-        )
-        self.pc = np.zeros(WARP_SIZE, dtype=np.int64)
-        self.exited = ~alive
-        self.at_barrier = False
-        self.issued = 0
-        #: Cached min PC over live lanes; maintained incrementally
-        #: (straight-line steps advance it without a reduction).
-        self.cur = 0
-        #: True while every lane is alive at the same PC -- the step
-        #: mask is then all-ones and never needs to be computed.  Sticky
-        #: False once the warp diverges or loses a lane (conservative:
-        #: reconvergence is not detected, only costs the fast path).
-        self.converged = bool(alive.all())
-
-    @property
-    def done(self) -> bool:
-        return bool(self.exited.all())
-
-    def recompute_cur(self) -> None:
-        if not self.done:
-            self.cur = int(self.pc[~self.exited].min())
-
-
-class _Group:
-    """Warps executing the same instruction in one batched step.
-
-    ``rows`` stacks the member warps' register-file rows (warp-index
-    order), so every array in a step is ``(len(warps) * 32,)`` and the
-    slice ``[i*32:(i+1)*32]`` recovers warp ``warps[i]``.  Built by
-    :meth:`_ClassTracer._make_group`, which caches ``rows`` per warp
-    combination and shares a read-only all-ones ``mask`` whenever every
-    member warp is converged (``converged`` is then True).
-    """
-
-    __slots__ = ("warps", "rows", "mask", "n", "converged")
-
-    def __init__(
-        self, warps: list, rows: np.ndarray, mask: np.ndarray, converged: bool
-    ) -> None:
-        self.warps = warps
-        self.rows = rows
-        self.mask = mask
-        self.n = len(warps) * WARP_SIZE
-        self.converged = converged
-
-
-#: Lane indices of a fully-active warp, shared by every access record.
-_FULL_WARP_LANES = np.arange(WARP_SIZE)
-_FULL_WARP_LANES.setflags(write=False)
-
-
 class _Sym:
     """A per-lane symbolic value: anchor + ctaid strides + top mask.
 
-    ``strided`` is computed lazily and cached: callers must not rebind
-    ``sx``/``sy`` after the first ``strided`` access (in practice the
-    arrays are only assigned while a sym is being constructed).
+    ``val`` is the interpreter's anchor value, fetched only for the
+    rules that read it (None otherwise).  ``strided`` caches
+    ``(sx != 0) | (sy != 0)`` once :meth:`ClassRecorder._strided` has
+    computed it.
     """
 
-    __slots__ = ("val", "sx", "sy", "top", "_strided")
+    __slots__ = ("val", "sx", "sy", "top", "strided")
 
-    def __init__(self, val, sx=None, sy=None, top=None):
+    def __init__(self, val, sx, sy, top):
         self.val = val
-        self.sx = np.zeros(val.shape) if sx is None else sx
-        self.sy = np.zeros(val.shape) if sy is None else sy
-        self.top = np.zeros(val.shape, dtype=bool) if top is None else top
-        self._strided = None
-
-    @property
-    def strided(self) -> np.ndarray:
-        if self._strided is None:
-            self._strided = (self.sx != 0) | (self.sy != 0)
-        return self._strided
+        self.sx = sx
+        self.sy = sy
+        self.top = top
+        self.strided = None
 
 
 #: Comparison -> class-uniformity test given the (lo, hi) range over the
@@ -270,70 +216,92 @@ _UNIFORM_TESTS = {
 }
 
 
-class _ClassTracer:
-    def __init__(
-        self,
-        kernel: Kernel,
-        launch: LaunchConfig,
-        box: ClassBox,
-        max_warp_instructions: int,
-        track_registers: bool = True,
-        record_shared_accesses: bool = True,
-    ) -> None:
-        self.kernel = kernel
-        self.launch = launch
-        self.box = box
-        self.max_warp_instructions = max_warp_instructions
-        self.track_registers = track_registers
-        self.record_shared_accesses = record_shared_accesses
-        self.decoded = [_Decoded(i, kernel.labels) for i in kernel.instructions]
 
-        threads = launch.block_threads
-        num_warps = launch.warps_per_block
-        padded = num_warps * WARP_SIZE
+
+class ClassRecorder:
+    """Shadow affine state of one boxed block of an interpreter slab.
+
+    The batched interpreter calls :meth:`record` for every step of the
+    block's warps except ``exit``, with the step's lane ``mask`` (lanes
+    at the instruction's PC) and guard-applied ``active`` lanes, before
+    the instruction executes.  Arrays are ``(warps_per_block, 32)``
+    views of the block's rows, so warps outside the step's PC-group
+    show only masked-out lanes.  Operand values are read from the
+    interpreter's registers and shared arena; the recorder writes only
+    its own shadow and the :class:`ClassTrace`.
+
+    Stride-free, top-free shadows are the shared read-only constants
+    ``_zeros``/``_zerob``, recognised by identity, so an affine kernel
+    whose registers mostly carry no stride pays for almost no shadow
+    arithmetic.
+    """
+
+    def __init__(self, trace: ClassTrace, interpreter, index: int) -> None:
+        kernel = interpreter.sim.kernel
+        wpb = interpreter.wpb
+        self.trace = trace
+        trace.incomplete = None
+        self.box = trace.box
+        self.interpreter = interpreter
+        self.slot = interpreter.slots[index]
+        #: The block's warp rows in the slab (None: the whole slab).
+        self.rows = (
+            None
+            if interpreter.num_slots == 1
+            else slice(index * wpb, (index + 1) * wpb)
+        )
+        self.shape = shape = (wpb, WARP_SIZE)
+        self._all_warps = [(warp, _FULL_WARP_LANES, _ALL) for warp in range(wpb)]
+        #: PC of the block's latest step (where an interpreter error
+        #: stops the evidence), and whether every lane of the block is
+        #: active in it.
+        self.pc = 0
+        self.full = False
         nregs = max(kernel.num_registers, 1)
         npreds = max(kernel.num_predicates, 1)
-        lane_ids = np.arange(WARP_SIZE)
 
-        self.R = np.zeros((padded, nregs))
-        self.RSX = np.zeros((padded, nregs))
-        self.RSY = np.zeros((padded, nregs))
-        self.RTOP = np.zeros((padded, nregs), dtype=bool)
-        self.RW = np.zeros((padded, nregs), dtype=bool)
-        for name, value in launch.params.items():
-            reg = kernel.param_regs[name]
-            self.R[:, reg] = float(value)
-            self.RW[:, reg] = True
+        self.RSX = np.zeros(shape + (nregs,))
+        self.RSY = np.zeros(shape + (nregs,))
+        self.RTOP = np.zeros(shape + (nregs,), dtype=bool)
+        # Register provenance: lanes written so far (``reg_written``:
+        # every lane), the static instruction that last wrote each
+        # lane, and lanes holding a write nothing has read yet
+        # (``reg_unread``: maybe some lane).
+        self.RW = np.zeros(shape + (nregs,), dtype=bool)
+        self.reg_written = [False] * nregs
+        for name in kernel.params:
+            self.reg_written[kernel.param_regs[name]] = True
+        self.last_writer = np.full(shape + (nregs,), -1, dtype=np.int64)
+        self.unread = np.zeros(shape + (nregs,), dtype=bool)
+        self.reg_unread = [False] * nregs
 
         # Predicates default to False on every member, hence uniform and
         # known: guarded-SETP-then-branch is an established idiom.
-        self.P = np.zeros((padded, npreds), dtype=bool)
-        self.PU = np.ones((padded, npreds), dtype=bool)
-        self.PK = np.ones((padded, npreds), dtype=bool)
+        self.PU = np.ones(shape + (npreds,), dtype=bool)
+        self.PK = np.ones(shape + (npreds,), dtype=bool)
 
         # Monotone dirty flags: once a register column (or predicate)
         # may carry a stride / top / nonuniformity, its flag sticks.
         # A False flag lets operand fetches and guard checks skip the
-        # gather entirely and reuse a shared read-only zero array --
-        # the dominant per-step saving on affine kernels, where almost
-        # every register is stride-free.
+        # column entirely and reuse a shared read-only constant.
         self.reg_sx_dirty = [False] * nregs
         self.reg_sy_dirty = [False] * nregs
         self.reg_top_dirty = [False] * nregs
         self.pred_unknown = [False] * npreds
         self.pred_nonuniform = [False] * npreds
-        self._zero_f: dict = {}
-        self._zero_b: dict = {}
-        self._one_b: dict = {}
-        #: Concatenated row indices per warp combination, built once.
-        self._rows_cache: dict = {}
+        self._zeros = np.zeros(shape)
+        self._zerob = np.zeros(shape, dtype=bool)
+        self._ones = np.ones(shape)
+        self._oneb = np.ones(shape, dtype=bool)
+        for constant in (self._zeros, self._zerob, self._ones, self._oneb):
+            constant.setflags(write=False)
 
-        words = kernel.shared_memory_words
-        self.smem_bytes = words * 4
-        self.SM = np.zeros(max(words, 1))
-        self.SMSX = np.zeros(max(words, 1))
-        self.SMSY = np.zeros(max(words, 1))
-        self.SMTOP = np.zeros(max(words, 1), dtype=bool)
+        words = max(kernel.shared_memory_words, 1)
+        self.smem_bytes = kernel.shared_memory_words * 4
+        self.smem_base = int(interpreter.smem_base[index * wpb, 0])
+        self.SMSX = np.zeros(words)
+        self.SMSY = np.zeros(words)
+        self.SMTOP = np.zeros(words, dtype=bool)
         #: Set once a store lands at a class-varying address; every
         #: later load is top.
         self.smem_poisoned = False
@@ -341,440 +309,326 @@ class _ClassTracer:
         self.smem_sxy_dirty = False
         self.smem_top_dirty = False
 
-        self.tid = np.arange(padded, dtype=float)
-        self.special_scalars = {
-            "ntid": float(threads),
-            "ctaid_x": float(box.x0),
-            "ctaid_y": float(box.y0),
-            "nctaid_x": float(launch.grid[0]),
-            "nctaid_y": float(launch.grid[1]),
-        }
-
-        self.warps = [
-            _TracerWarp(w, (w * WARP_SIZE + lane_ids) < threads)
-            for w in range(num_warps)
-        ]
-        self.stage = 0
-        self.trace = ClassTrace(kernel.name, box)
         self._nonuniform_seen: set = set()
         self._uninit_seen: set = set()
-        # Dead-store bookkeeping: which static instruction last wrote
-        # each (lane, register), and whether that write was read since.
-        self.last_writer = np.full((padded, nregs), -1, dtype=np.int64)
-        self.read_since = np.zeros((padded, nregs), dtype=bool)
-
-    # -- shared immutable scratch ------------------------------------------
-
-    def _zeros(self, n: int) -> np.ndarray:
-        arr = self._zero_f.get(n)
-        if arr is None:
-            arr = np.zeros(n)
-            arr.setflags(write=False)
-            self._zero_f[n] = arr
-        return arr
-
-    def _zerob(self, n: int) -> np.ndarray:
-        arr = self._zero_b.get(n)
-        if arr is None:
-            arr = np.zeros(n, dtype=bool)
-            arr.setflags(write=False)
-            self._zero_b[n] = arr
-        return arr
-
-    def _oneb(self, n: int) -> np.ndarray:
-        arr = self._one_b.get(n)
-        if arr is None:
-            arr = np.ones(n, dtype=bool)
-            arr.setflags(write=False)
-            self._one_b[n] = arr
-        return arr
 
     # -- driver ------------------------------------------------------------
 
-    def run(self) -> ClassTrace:
+    def record(self, pc: int, decoded, mask, active) -> None:
+        """Shadow one step; ``mask``/``active`` span the whole slab."""
+        if self.trace.incomplete is not None:
+            return
+        rows = self.rows
+        if rows is not None:
+            mask = mask[rows]
+            if not mask.any():
+                return  # none of this block's warps is in the PC-group
+            active = active[rows]
+        self.pc = pc
         try:
-            with np.errstate(all="ignore"):
-                while True:
-                    self._run_interval()
-                    waiting = [w for w in self.warps if w.at_barrier]
-                    if not waiting:
-                        break
-                    for warp in waiting:
-                        warp.at_barrier = False
-                    self.stage += 1
+            if decoded.kind == OpKind.BARRIER:
+                self._barrier(pc, mask)
+            else:
+                self._step(pc, decoded, mask, active)
         except _Abort as abort:
-            self.trace.incomplete = (abort.index, abort.code, abort.message)
-        self.trace.stages = self.stage + 1
-        return self.trace
+            self._stop(abort.index, abort.code, abort.message)
 
-    def _run_interval(self) -> None:
-        """Run every warp to its next barrier (or exit), in lockstep.
+    def finish(self) -> None:
+        if self.trace.incomplete is None:
+            self.trace.stages = len(self.slot.stages)
 
-        Warps whose current PC coincides execute as one batched step
-        over their stacked rows -- for uniform-control kernels every
-        warp of the block shares each step, so the NumPy dispatch
-        overhead is paid once per *instruction*, not once per warp.
-        Warps at distinct PCs simply land in distinct groups; order
-        between groups within one pass is fixed (ascending PC) so
-        traces stay deterministic.
-        """
-        while True:
-            groups: dict = {}
-            for warp in self.warps:
-                if warp.done or warp.at_barrier:
-                    continue
-                groups.setdefault(warp.cur, []).append(warp)
-            if not groups:
-                return
-            for cur in sorted(groups):
-                self._step(cur, groups[cur])
-
-    def _make_group(self, warps: list, cur: int) -> _Group:
-        converged = all(w.converged for w in warps)
-        if len(warps) == 1:
-            warp = warps[0]
-            if converged:
-                return _Group(warps, warp.rows, self._oneb(WARP_SIZE), True)
-            mask = ~warp.exited & (warp.pc == cur)
-            return _Group(warps, warp.rows, mask, False)
-        key = tuple(w.index for w in warps)
-        rows = self._rows_cache.get(key)
-        if rows is None:
-            rows = np.concatenate([w.rows for w in warps])
-            rows.setflags(write=False)
-            self._rows_cache[key] = rows
-        if converged:
-            return _Group(warps, rows, self._oneb(len(warps) * WARP_SIZE), True)
-        mask = np.concatenate(
-            [
-                np.ones(WARP_SIZE, dtype=bool)
-                if w.converged
-                else ~w.exited & (w.pc == cur)
-                for w in warps
-            ]
-        )
-        return _Group(warps, rows, mask, False)
-
-    def _step(self, cur: int, warps: list) -> None:
-        decoded = self.decoded[cur]
-        kind = decoded.kind
-
-        for warp in warps:
-            warp.issued += 1
-            if warp.issued > self.max_warp_instructions:
-                raise _Abort(
-                    cur,
-                    "runaway",
-                    f"warp {warp.index} exceeded "
-                    f"{self.max_warp_instructions} instructions",
-                )
-
-        if kind == OpKind.EXIT:
-            for warp in warps:
-                warp.exited |= warp.pc == cur
-                warp.recompute_cur()
+    def fail(self, error: SimulationError) -> None:
+        """The interpreter raised: the evidence stops where it did."""
+        if self.trace.incomplete is not None:
             return
-        if kind == OpKind.BARRIER:
-            for warp in warps:
-                if warp.converged:
-                    # Every lane alive at the same PC: trivially
-                    # converged at the barrier.
-                    warp.at_barrier = True
-                    warp.pc.fill(cur + 1)
-                    warp.cur = cur + 1
-                    continue
-                alive = ~warp.exited
-                mask = alive & (warp.pc == cur)
-                if not np.array_equal(mask, alive):
-                    self.trace.divergent_barrier = (cur, warp.index)
-                    raise _Abort(
-                        cur,
-                        "barrier-divergence",
-                        f"warp {warp.index} reached bar.sync with "
-                        f"{int(mask.sum())} of {int(alive.sum())} "
-                        "threads converged",
-                    )
-                warp.at_barrier = True
-                warp.pc[alive] = cur + 1
-                warp.cur = cur + 1
-            return
-
-        group = self._make_group(warps, cur)
-        mask = group.mask
-        active = self._guard_active(group, decoded, mask, cur)
-        if kind == OpKind.BRANCH:
-            # A guarded branch taken by only part of a converged warp
-            # splits its lanes (sticky: reconvergence is not detected).
-            if decoded.target >= 0 and active is not mask:
-                for i, warp in enumerate(warps):
-                    if not warp.converged:
-                        continue
-                    taken = active[i * WARP_SIZE : (i + 1) * WARP_SIZE]
-                    if not (taken.all() or not taken.any()):
-                        warp.converged = False
-            for i, warp in enumerate(warps):
-                part = slice(i * WARP_SIZE, (i + 1) * WARP_SIZE)
-                warp.pc[mask[part]] = cur + 1
-                if decoded.target >= 0:
-                    warp.pc[active[part]] = decoded.target
-                warp.recompute_cur()
-            return
-
-        if group.converged:
-            for warp in warps:
-                warp.cur = cur + 1
-                warp.pc.fill(cur + 1)
+        if isinstance(error, DivergenceError):
+            code = "barrier-divergence"
+        elif isinstance(error, MemoryAccessError):
+            code = "global-oob"
         else:
-            for warp in warps:
-                warp.cur = cur + 1
-            for i, warp in enumerate(warps):
-                warp.pc[mask[i * WARP_SIZE : (i + 1) * WARP_SIZE]] = cur + 1
-        if not active.any():
+            code = "runaway"
+        self._stop(self.pc, code, str(error))
+
+    def _stop(self, index: int, code: str, message: str) -> None:
+        self.trace.incomplete = (index, code, message)
+        self.trace.stages = len(self.slot.stages)
+
+    def _barrier(self, pc: int, mask) -> None:
+        alive = self.interpreter.alive
+        if self.rows is not None:
+            alive = alive[self.rows]
+        divergent = mask.any(axis=1) & (mask != alive).any(axis=1)
+        if divergent.any():
+            warp = int(np.flatnonzero(divergent)[0])
+            self.trace.divergent_barrier = (pc, warp)
+            raise _Abort(
+                pc,
+                "barrier-divergence",
+                f"warp {warp} reached bar.sync with "
+                f"{int(mask[warp].sum())} of {int(alive[warp].sum())} "
+                "threads converged",
+            )
+
+    def _step(self, pc: int, decoded, mask, active) -> None:
+        kind = decoded.kind
+        if decoded.guard is not None:
+            self._check_guard(pc, decoded.guard[0], mask)
+        if kind == OpKind.BRANCH or not active.any():
             return
-        if self.track_registers:
-            self._note_reads(group, decoded, active, cur)
+        self.full = bool(active.all())
+        self._note_reads(decoded, active, pc)
         if kind in (OpKind.ARITH, OpKind.SELECT):
-            self._exec_arith(group, decoded, active, cur)
+            self._exec_arith(decoded, active, pc)
         elif kind == OpKind.SETP:
-            self._exec_setp(group, decoded, active, cur)
+            self._exec_setp(decoded, active, pc)
         elif kind in _LOAD_KINDS:
-            self._exec_load(group, decoded, active, cur)
+            self._exec_load(decoded, active, pc)
         elif kind in _STORE_KINDS:
-            self._exec_store(group, decoded, active, cur)
+            self._exec_store(decoded, active, pc)
         # NOP: nothing to do.
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _guard_active(self, group, decoded, mask, cur) -> np.ndarray:
-        if decoded.guard is None:
-            return mask
-        pidx, want = decoded.guard
-        rows = group.rows
+    def _strided(self, sym: _Sym) -> np.ndarray:
+        if sym.strided is None:
+            if sym.sx is self._zeros and sym.sy is self._zeros:
+                sym.strided = self._zerob
+            else:
+                sym.strided = (sym.sx != 0) | (sym.sy != 0)
+        return sym.strided
+
+    def _check_guard(self, pc: int, pidx: int, mask) -> None:
         if self.pred_unknown[pidx] and bool(
-            (mask & ~self.PK[rows, pidx]).any()
+            (mask & ~self.PK[:, :, pidx]).any()
         ):
             raise _Abort(
-                cur,
+                pc,
                 "data-control",
                 f"control depends on a data-dependent predicate %p{pidx}",
             )
         if self.pred_nonuniform[pidx] and bool(
-            (mask & ~self.PU[rows, pidx]).any()
+            (mask & ~self.PU[:, :, pidx]).any()
         ):
-            key = (cur, "guard")
+            key = (pc, "guard")
             if key not in self._nonuniform_seen:
                 self._nonuniform_seen.add(key)
                 self.trace.nonuniform_control.append(key)
-        if want:
-            return mask & self.P[rows, pidx]
-        return mask & ~self.P[rows, pidx]
 
-    def _note_reads(self, group, decoded, active, cur) -> None:
-        rows = group.rows
-        act_rows = rows[active]
+    def _note_reads(self, decoded, active, pc) -> None:
         for reg in decoded.reads:
-            unwritten = active & ~self.RW[rows, reg]
-            if unwritten.any() and (cur, reg) not in self._uninit_seen:
-                self._uninit_seen.add((cur, reg))
-                self.trace.uninit_reads.append((cur, reg))
-            self.read_since[act_rows, reg] = True
+            if not self.reg_written[reg]:
+                unwritten = active & ~self.RW[:, :, reg]
+                if unwritten.any() and (pc, reg) not in self._uninit_seen:
+                    self._uninit_seen.add((pc, reg))
+                    self.trace.uninit_reads.append((pc, reg))
+            if self.reg_unread[reg]:
+                if self.full:
+                    self.unread[:, :, reg] = False
+                    self.reg_unread[reg] = False
+                else:
+                    self.unread[:, :, reg][active] = False
 
-    def _write_reg(self, group, reg, active, sym: _Sym, cur) -> None:
-        rows = group.rows
-        full = bool(active.all())
-        act_rows = rows if full else rows[active]
-        if self.track_registers:
-            # Dead-store accounting: a write clobbered before any read.
-            last = self.last_writer[rows, reg]
-            clobbered = active & (last >= 0) & ~self.read_since[rows, reg]
+    def _write_reg(self, reg, active, sym: _Sym, pc) -> None:
+        full = self.full
+        trace = self.trace
+        # Dead-store accounting: a write clobbered before any read.
+        if self.reg_unread[reg]:
+            unread = self.unread[:, :, reg]
+            clobbered = unread if full else active & unread
             if clobbered.any():
                 writers, counts = np.unique(
-                    last[clobbered], return_counts=True
+                    self.last_writer[:, :, reg][clobbered], return_counts=True
                 )
                 for writer, count in zip(writers.tolist(), counts.tolist()):
-                    self.trace.clobbered_writes[writer] = (
-                        self.trace.clobbered_writes.get(writer, 0) + count
+                    trace.clobbered_writes[writer] = (
+                        trace.clobbered_writes.get(writer, 0) + count
                     )
-            self.trace.register_writes[cur] = self.trace.register_writes.get(
-                cur, 0
-            ) + int(active.sum())
-            self.last_writer[act_rows, reg] = cur
-            self.read_since[act_rows, reg] = False
-            self.RW[act_rows, reg] = True
+        trace.register_writes[pc] = trace.register_writes.get(pc, 0) + (
+            active.size if full else int(active.sum())
+        )
+        self.reg_unread[reg] = True
 
-        self.R[act_rows, reg] = sym.val if full else sym.val[active]
+        columns = [(self.last_writer, pc), (self.unread, True)]
+        if not self.reg_written[reg]:
+            if full:
+                self.reg_written[reg] = True
+            else:
+                columns.append((self.RW, True))
         sx, sy, top = sym.sx, sym.sy, sym.top
-        if self.reg_sx_dirty[reg] or sx.any():
-            self.RSX[act_rows, reg] = sx if full else sx[active]
+        if self.reg_sx_dirty[reg] or (sx is not self._zeros and sx.any()):
+            columns.append((self.RSX, sx))
             self.reg_sx_dirty[reg] = True
-        if self.reg_sy_dirty[reg] or sy.any():
-            self.RSY[act_rows, reg] = sy if full else sy[active]
+        if self.reg_sy_dirty[reg] or (sy is not self._zeros and sy.any()):
+            columns.append((self.RSY, sy))
             self.reg_sy_dirty[reg] = True
-        if self.reg_top_dirty[reg] or top.any():
-            self.RTOP[act_rows, reg] = top if full else top[active]
+        if self.reg_top_dirty[reg] or (top is not self._zerob and top.any()):
+            columns.append((self.RTOP, top))
             self.reg_top_dirty[reg] = True
+        for array, value in columns:
+            column = array[:, :, reg]
+            if full:
+                column[:, :] = value
+            elif isinstance(value, np.ndarray):
+                column[active] = value[active]
+            else:
+                column[active] = value
 
     # -- operand fetch -----------------------------------------------------
 
-    def _operand(self, group, src, active, cur) -> _Sym:
+    def _value(self, src) -> np.ndarray:
+        value = self.interpreter._fetch(src, None)[0]
+        return value if self.rows is None else value[self.rows]
+
+    def _operand(self, src, active, pc, need_val: bool) -> _Sym:
         kind = src[0]
-        rows = group.rows
-        n = group.n
+        if kind == "mem":  # arithmetic shared operand
+            return self._read_shared(
+                src[1], src[2], active, pc, "operand", need_val
+            )
+        val = self._value(src) if need_val else None
+        zeros = self._zeros
         if kind == "reg":
-            # Fancy-index gathers copy, so the _Sym owns its arrays;
-            # clean columns reuse the shared read-only zeros instead.
             reg = src[1]
             return _Sym(
-                self.R[rows, reg],
-                self.RSX[rows, reg]
-                if self.reg_sx_dirty[reg]
-                else self._zeros(n),
-                self.RSY[rows, reg]
-                if self.reg_sy_dirty[reg]
-                else self._zeros(n),
-                self.RTOP[rows, reg]
-                if self.reg_top_dirty[reg]
-                else self._zerob(n),
+                val,
+                self.RSX[:, :, reg] if self.reg_sx_dirty[reg] else zeros,
+                self.RSY[:, :, reg] if self.reg_sy_dirty[reg] else zeros,
+                self.RTOP[:, :, reg] if self.reg_top_dirty[reg] else self._zerob,
             )
-        if kind == "imm":
-            return _Sym(
-                np.full(n, src[1], dtype=float),
-                self._zeros(n),
-                self._zeros(n),
-                self._zerob(n),
-            )
-        if kind == "special":
-            name = src[1]
-            if name == "tid":
-                val = self.tid[rows]
-            else:
-                val = np.full(n, self.special_scalars[name])
-            sym = _Sym(val, self._zeros(n), self._zeros(n), self._zerob(n))
-            if name == "ctaid_x":
-                sym.sx = np.ones(n)
-            elif name == "ctaid_y":
-                sym.sy = np.ones(n)
-            return sym
-        if kind == "mem":  # arithmetic shared operand
-            return self._read_shared(group, src[1], src[2], active, cur, "operand")
-        raise AssertionError(f"unexpected operand {src!r}")
+        name = src[1] if kind == "special" else None
+        return _Sym(
+            val,
+            self._ones if name == "ctaid_x" else zeros,
+            self._ones if name == "ctaid_y" else zeros,
+            self._zerob,
+        )
 
-    def _address_sym(self, group, base, offset, active, cur) -> _Sym:
-        n = group.n
+    def _address_sym(self, base, offset, active, pc) -> _Sym:
         if base < 0:
             return _Sym(
-                np.full(n, float(offset)),
-                self._zeros(n),
-                self._zeros(n),
-                self._zerob(n),
+                np.full(self.shape, float(offset)),
+                self._zeros,
+                self._zeros,
+                self._zerob,
             )
-        addr = self._operand(group, ("reg", base), active, cur)
+        addr = self._operand(("reg", base), active, pc, True)
         if offset:
             addr.val = addr.val + offset
         return addr
 
+    # -- access records ----------------------------------------------------
+
+    def _warps(self, active) -> list:
+        """``(warp, lanes, pick)`` for every warp with an active lane.
+
+        ``pick`` selects those lanes from a 32-lane row: a slice when
+        the whole warp is active, so its records hold row views.
+        """
+        if self.full:
+            return self._all_warps
+        out = []
+        for warp in np.flatnonzero(active.any(axis=1)).tolist():
+            act = active[warp]
+            if act.all():
+                out.append((warp, _FULL_WARP_LANES, _ALL))
+            else:
+                lanes = np.flatnonzero(act)
+                out.append((warp, lanes, lanes))
+        return out
+
     # -- shared memory -----------------------------------------------------
 
-    def _record_shared(
-        self, group, addr: _Sym, active, cur, kind, full: bool
-    ) -> tuple[np.ndarray, bool]:
+    def _record_shared(self, base, offset, active, pc, kind):
+        """Record one shared touch (before the interpreter performs it).
+
+        Returns the anchor byte addresses and the lanes whose address
+        varies across class members (None when none does).
+        """
+        full = self.full
+        addr = self._address_sym(base, offset, active, pc)
         addresses = addr.val.astype(np.int64)
-        any_strided = bool(addr.strided[active].any())
-        any_top = bool(addr.top[active].any())
+        strided = self._strided(addr)
+        top = addr.top
+        any_strided = strided is not self._zerob and bool(
+            (strided if full else strided[active]).any()
+        )
+        any_top = top is not self._zerob and bool(
+            (top if full else top[active]).any()
+        )
         if any_strided and self.trace.shared_strided is None:
-            self.trace.shared_strided = (cur,)
-        warps = group.warps
-        if self.record_shared_accesses:
-            for i, warp in enumerate(warps):
-                if len(warps) == 1:
-                    act, addrs = active, addresses
-                    strided, top = addr.strided, addr.top
-                else:
-                    part = slice(i * WARP_SIZE, (i + 1) * WARP_SIZE)
-                    act, addrs = active[part], addresses[part]
-                    strided, top = addr.strided[part], addr.top[part]
-                if full:
-                    lanes = _FULL_WARP_LANES
-                else:
-                    if not act.any():
-                        continue
-                    lanes = np.flatnonzero(act)
-                    addrs = addrs[lanes]
-                self.trace.shared_accesses.append(
-                    SharedAccess(
-                        self.stage,
-                        cur,
-                        warp.index,
-                        kind,
-                        lanes,
-                        addrs,
-                        any_strided and bool(strided[act].any()),
-                        any_top and bool(top[act].any()),
-                    )
+            self.trace.shared_strided = (pc,)
+        stage = len(self.slot.stages) - 1
+        records = self.trace.shared_accesses
+        for warp, lanes, pick in self._warps(active):
+            records.append(
+                SharedAccess(
+                    stage,
+                    pc,
+                    warp,
+                    kind,
+                    lanes,
+                    addresses[warp][pick],
+                    any_strided and bool(strided[warp][pick].any()),
+                    any_top and bool(top[warp][pick].any()),
                 )
+            )
         if any_top:
             raise _Abort(
-                cur, "data-shared", "shared address depends on memory contents"
+                pc, "data-shared", "shared address depends on memory contents"
             )
         hot = addresses if full else addresses[active]
-        bad = (hot < 0) | (hot + 4 > self.smem_bytes) | (hot % 4 != 0)
-        if bad.any():
+        if (
+            int(hot.min()) < 0
+            or int(hot.max()) + 4 > self.smem_bytes
+            or (hot & 3).any()
+        ):
+            bad = (hot < 0) | (hot + 4 > self.smem_bytes) | (hot % 4 != 0)
             raise _Abort(
-                cur,
+                pc,
                 "shared-oob",
                 f"shared access at byte {int(hot[bad][0])} outside "
                 f"[0, {self.smem_bytes}) or misaligned",
             )
-        return addresses, any_strided
+        return addresses, strided if any_strided else None
 
-    def _read_shared(self, group, base, offset, active, cur, kind) -> _Sym:
-        addr = self._address_sym(group, base, offset, active, cur)
-        full = bool(active.all())
-        addresses, any_strided = self._record_shared(
-            group, addr, active, cur, kind, full
+    def _read_shared(self, base, offset, active, pc, kind, need_val) -> _Sym:
+        addresses, strided = self._record_shared(base, offset, active, pc, kind)
+        # Lanes outside ``active`` are never read from a result: point
+        # them at word 0 so every gather stays in bounds.
+        words = (addresses if self.full else np.where(active, addresses, 0)) >> 2
+        val = (
+            self.interpreter.smem[words + self.smem_base] if need_val else None
         )
-        n = group.n
-        words = (addresses if full else addresses[active]) >> 2
-        sxy = self.smem_sxy_dirty
-        topd = self.smem_top_dirty or self.smem_poisoned
-        if full:
-            result = _Sym(
-                self.SM[words],
-                self.SMSX[words] if sxy else self._zeros(n),
-                self.SMSY[words] if sxy else self._zeros(n),
-                self.SMTOP[words].copy() if topd else np.zeros(n, dtype=bool),
-            )
-        else:
-            result = _Sym(np.zeros(n))
-            result.val[active] = self.SM[words]
-            if sxy:
-                result.sx[active] = self.SMSX[words]
-                result.sy[active] = self.SMSY[words]
-            if topd:
-                result.top[active] = self.SMTOP[words]
+        sx = sy = self._zeros
+        top = self._zerob
+        if self.smem_sxy_dirty:
+            sx, sy = self.SMSX[words], self.SMSY[words]
         if self.smem_poisoned:
-            result.top[active] = True
-        # A class-varying address reads different words per member.
-        if any_strided:
-            result.top[active] |= addr.strided[active]
-        return result
+            top = self._oneb
+        elif self.smem_top_dirty:
+            top = self.SMTOP[words]
+        if strided is not None:
+            # A class-varying address reads different words per member.
+            top = top | strided
+        return _Sym(val, sx, sy, top)
 
-    def _write_shared(self, group, base, offset, value: _Sym, active, cur) -> None:
-        addr = self._address_sym(group, base, offset, active, cur)
-        full = bool(active.all())
-        addresses, any_strided = self._record_shared(
-            group, addr, active, cur, "store", full
-        )
-        if any_strided:
+    def _write_shared(self, base, offset, value: _Sym, active, pc) -> None:
+        addresses, strided = self._record_shared(base, offset, active, pc, "store")
+        if strided is not None:
             # Different members write different words: all bets off.
             self.smem_poisoned = True
             self.SMTOP[:] = True
             return
+        full = self.full
         words = (addresses if full else addresses[active]) >> 2
-        self.SM[words] = value.val if full else value.val[active]
-        if self.smem_sxy_dirty or value.sx.any() or value.sy.any():
-            self.SMSX[words] = value.sx if full else value.sx[active]
-            self.SMSY[words] = value.sy if full else value.sy[active]
+        sx, sy = value.sx, value.sy
+        if (
+            self.smem_sxy_dirty
+            or (sx is not self._zeros and sx.any())
+            or (sy is not self._zeros and sy.any())
+        ):
+            self.SMSX[words] = sx if full else sx[active]
+            self.SMSY[words] = sy if full else sy[active]
             self.smem_sxy_dirty = True
         top = value.top if full else value.top[active]
         if self.smem_top_dirty or self.smem_poisoned or top.any():
@@ -783,153 +637,159 @@ class _ClassTracer:
 
     # -- global memory -----------------------------------------------------
 
-    def _record_global(self, group, addr: _Sym, active, cur, store) -> None:
+    def _record_global(self, addr: _Sym, active, pc, store) -> None:
         addresses = addr.val.astype(np.int64)
         stride_x = addr.sx.astype(np.int64)
         stride_y = addr.sy.astype(np.int64)
-        full = bool(active.all())
-        any_top = bool(addr.top[active].any())
-        warps = group.warps
-        for i, warp in enumerate(warps):
-            if len(warps) == 1:
-                act = active
-                addrs, sx, sy, top = addresses, stride_x, stride_y, addr.top
-            else:
-                part = slice(i * WARP_SIZE, (i + 1) * WARP_SIZE)
-                act = active[part]
-                addrs, sx, sy = addresses[part], stride_x[part], stride_y[part]
-                top = addr.top[part]
-            if full:
-                lanes = _FULL_WARP_LANES
-            else:
-                if not act.any():
-                    continue
-                lanes = np.flatnonzero(act)
-                addrs, sx, sy = addrs[lanes], sx[lanes], sy[lanes]
-            self.trace.global_accesses.append(
+        top = addr.top
+        any_top = top is not self._zerob and bool(top[active].any())
+        records = self.trace.global_accesses
+        for warp, lanes, pick in self._warps(active):
+            records.append(
                 GlobalAccess(
-                    cur,
-                    warp.index,
+                    pc,
+                    warp,
                     store,
                     lanes,
-                    addrs,
-                    sx,
-                    sy,
-                    any_top and bool(top[act].any()),
+                    addresses[warp][pick],
+                    stride_x[warp][pick],
+                    stride_y[warp][pick],
+                    any_top and bool(top[warp][pick].any()),
                 )
             )
 
     # -- instruction execution --------------------------------------------
 
-    def _exec_load(self, group, decoded, active, cur) -> None:
+    def _exec_load(self, decoded, active, pc) -> None:
         _, base, offset = decoded.srcs[0]
         if decoded.kind == OpKind.LOAD_SHARED:
-            result = self._read_shared(group, base, offset, active, cur, "load")
+            result = self._read_shared(base, offset, active, pc, "load", False)
         else:
-            addr = self._address_sym(group, base, offset, active, cur)
-            self._record_global(group, addr, active, cur, store=False)
-            result = _Sym(
-                np.zeros(group.n), top=np.ones(group.n, dtype=bool)
-            )
-        self._write_reg(group, decoded.dst_reg, active, result, cur)
+            addr = self._address_sym(base, offset, active, pc)
+            self._record_global(addr, active, pc, store=False)
+            result = _Sym(None, self._zeros, self._zeros, self._oneb)
+        self._write_reg(decoded.dst_reg, active, result, pc)
 
-    def _exec_store(self, group, decoded, active, cur) -> None:
+    def _exec_store(self, decoded, active, pc) -> None:
         space, base, offset = decoded.dst_mem
-        value = self._operand(group, decoded.srcs[0], active, cur)
+        value = self._operand(decoded.srcs[0], active, pc, False)
         if space == "shared":
-            self._write_shared(group, base, offset, value, active, cur)
+            self._write_shared(base, offset, value, active, pc)
         else:
-            addr = self._address_sym(group, base, offset, active, cur)
-            self._record_global(group, addr, active, cur, store=True)
+            addr = self._address_sym(base, offset, active, pc)
+            self._record_global(addr, active, pc, store=True)
 
-    def _exec_arith(self, group, decoded, active, cur) -> None:
+    def _exec_arith(self, decoded, active, pc) -> None:
         op = decoded.opcode
         if op is Opcode.SEL:
-            self._exec_select(group, decoded, active, cur)
+            self._exec_select(decoded, active, pc)
             return
+        need_val = op in _VALUE_RULES
         operands = [
-            self._operand(group, src, active, cur) for src in decoded.srcs
+            self._operand(src, active, pc, need_val) for src in decoded.srcs
         ]
-        val = _EVAL_TABLE[op]([sym.val for sym in operands])
-        val = np.asarray(val, dtype=float)
-        if val.ndim == 0:
-            val = np.full(group.n, float(val))
-        result = _Sym(val)
+        zeros, zerob, oneb = self._zeros, self._zerob, self._oneb
+        top = zerob
         for sym in operands:
-            result.top = result.top | sym.top
+            if top is oneb or sym.top is zerob:
+                continue
+            top = sym.top if top is zerob or sym.top is oneb else top | sym.top
+        sx = sy = zeros
 
         if op is Opcode.MOV:
-            result.sx, result.sy = operands[0].sx, operands[0].sy
+            sx, sy = operands[0].sx, operands[0].sy
         elif op in _LINEAR_SIGN:
             sign = _LINEAR_SIGN[op]
-            result.sx = operands[0].sx + sign * operands[1].sx
-            result.sy = operands[0].sy + sign * operands[1].sy
+            a, b = operands
+            if a.sx is not zeros or b.sx is not zeros:
+                sx = a.sx + sign * b.sx
+            if a.sy is not zeros or b.sy is not zeros:
+                sy = a.sy + sign * b.sy
         elif op in (Opcode.IMUL, Opcode.IMAD):
             a, b = operands[0], operands[1]
             # (a0 + as*d)(b0 + bs*d) is affine iff one factor is
             # stride-free on every lane; the cross term kills the rest.
-            result.sx = a.sx * b.val + b.sx * a.val
-            result.sy = a.sy * b.val + b.sy * a.val
-            result.top |= a.strided & b.strided
+            if a.sx is not zeros or b.sx is not zeros:
+                sx = a.sx * b.val + b.sx * a.val
+            if a.sy is not zeros or b.sy is not zeros:
+                sy = a.sy * b.val + b.sy * a.val
+            a_strided, b_strided = self._strided(a), self._strided(b)
+            if a_strided is not zerob and b_strided is not zerob:
+                top = top | (a_strided & b_strided)
             if op is Opcode.IMAD:
-                result.sx = result.sx + operands[2].sx
-                result.sy = result.sy + operands[2].sy
+                c = operands[2]
+                if c.sx is not zeros:
+                    sx = sx + c.sx
+                if c.sy is not zeros:
+                    sy = sy + c.sy
         elif op is Opcode.ISHL:
             a, k = operands[0], operands[1]
-            factor = np.exp2(np.where(k.strided | k.top, 0, k.val))
-            result.sx = a.sx * factor
-            result.sy = a.sy * factor
-            result.top |= k.strided
+            k_strided = self._strided(k)
+            if a.sx is not zeros or a.sy is not zeros:
+                factor = np.exp2(np.where(k_strided | k.top, 0, k.val))
+                sx = a.sx * factor
+                sy = a.sy * factor
+            if k_strided is not zerob:
+                top = top | k_strided
         else:
             # Every other op (float math, right shift, bitwise, min,
             # max) is nonlinear in ctaid: exact when the inputs carry no
             # stride, top otherwise.
             for sym in operands:
-                result.top |= sym.strided
-        self._write_reg(group, decoded.dst_reg, active, result, cur)
+                strided = self._strided(sym)
+                if strided is not zerob and top is not oneb:
+                    top = top | strided
+        self._write_reg(decoded.dst_reg, active, _Sym(None, sx, sy, top), pc)
 
-    def _exec_select(self, group, decoded, active, cur) -> None:
-        rows = group.rows
+    def _exec_select(self, decoded, active, pc) -> None:
         pidx = decoded.srcs[0][1]
-        a = self._operand(group, decoded.srcs[1], active, cur)
-        b = self._operand(group, decoded.srcs[2], active, cur)
-        pred = self.P[rows, pidx]
-        result = _Sym(
-            np.where(pred, a.val, b.val),
-            np.where(pred, a.sx, b.sx),
-            np.where(pred, a.sy, b.sy),
-            np.where(pred, a.top, b.top),
-        )
+        a = self._operand(decoded.srcs[1], active, pc, False)
+        b = self._operand(decoded.srcs[2], active, pc, False)
+        pred = self.interpreter.P3[:, :, pidx]
+        if self.rows is not None:
+            pred = pred[self.rows]
+
+        def pick(x, y, clean):
+            return clean if x is clean and y is clean else np.where(pred, x, y)
+
+        top = pick(a.top, b.top, self._zerob)
         # Members with a different predicate pick the other arm.
         if self.pred_unknown[pidx] or self.pred_nonuniform[pidx]:
-            result.top = (
-                result.top | ~self.PK[rows, pidx] | ~self.PU[rows, pidx]
-            )
-        self._write_reg(group, decoded.dst_reg, active, result, cur)
+            top = top | ~self.PK[:, :, pidx] | ~self.PU[:, :, pidx]
+        result = _Sym(
+            None,
+            pick(a.sx, b.sx, self._zeros),
+            pick(a.sy, b.sy, self._zeros),
+            top,
+        )
+        self._write_reg(decoded.dst_reg, active, result, pc)
 
-    def _exec_setp(self, group, decoded, active, cur) -> None:
-        a = self._operand(group, decoded.srcs[0], active, cur)
-        b = self._operand(group, decoded.srcs[1], active, cur)
-        known = ~(a.top | b.top)
-        anchor = _CMP_FUNCS[decoded.cmp](a.val, b.val)
+    def _exec_setp(self, decoded, active, pc) -> None:
+        a = self._operand(decoded.srcs[0], active, pc, True)
+        b = self._operand(decoded.srcs[1], active, pc, True)
+        if a.top is self._zerob and b.top is self._zerob:
+            known = self._oneb
+        else:
+            known = ~(a.top | b.top)
         diff = a.val - b.val
-        if a.strided.any() or b.strided.any():
+        if self._strided(a).any() or self._strided(b).any():
             diff_lo, diff_hi = self.box.extremes(a.sx - b.sx, a.sy - b.sy)
             lo = diff + diff_lo
             hi = diff + diff_hi
         else:
             lo = hi = diff
         uniform = _UNIFORM_TESTS[decoded.cmp](lo, hi)
-        full = bool(active.all())
-        act_rows = group.rows if full else group.rows[active]
         dst = decoded.dst_pred
         pu = uniform & known
-        self.P[act_rows, dst] = anchor if full else anchor[active]
-        self.PU[act_rows, dst] = pu if full else pu[active]
-        self.PK[act_rows, dst] = known if full else known[active]
+        if self.full:
+            self.PU[:, :, dst] = pu
+            self.PK[:, :, dst] = known
+        else:
+            self.PU[:, :, dst][active] = pu[active]
+            self.PK[:, :, dst][active] = known[active]
         if not pu.all():
             self.pred_nonuniform[dst] = True
-        if not known.all():
+        if known is not self._oneb and not known.all():
             self.pred_unknown[dst] = True
 
 
@@ -937,33 +797,32 @@ def trace_block_class(
     kernel: Kernel,
     launch: LaunchConfig,
     box: ClassBox,
+    gmem: GlobalMemory,
     *,
     max_warp_instructions: int = 2_000_000,
-    track_registers: bool = True,
-    record_shared_accesses: bool = True,
 ) -> ClassTrace:
-    """Symbolically execute one block class over its ctaid box.
+    """Run one class's anchor block with its box and return the evidence.
 
-    Returns a :class:`ClassTrace` holding every memory access with its
-    anchor address and exact ctaid strides, control-uniformity evidence,
-    and the checker's raw material (uninitialized reads, write/clobber
-    counts, divergence).  ``trace.complete`` is False when the kernel
-    left the affine domain in a way that blocks further progress; the
-    trace still holds everything observed up to that point.
-
-    ``track_registers=False`` drops the register-provenance bookkeeping
-    (uninitialized reads, write/clobber counts) and
-    ``record_shared_accesses=False`` drops per-warp shared access
-    records (``trace.shared_strided`` still flags class-varying shared
-    addresses) -- the dedup proof consumes neither; global accesses and
-    control evidence are unaffected.
+    The batched interpreter runs the anchor ``box.anchor`` as a
+    one-block slab on a copy of ``gmem`` (the caller's memory never
+    changes) while a :class:`ClassRecorder` fills the returned
+    :class:`ClassTrace`: every memory access with its anchor address and
+    exact ctaid strides, control-uniformity evidence, and the checker's
+    raw material (uninitialized reads, write/clobber counts,
+    divergence).  ``trace.complete`` is False when the kernel left the
+    affine domain in a way that blocks further progress, or the
+    interpreter raised; the trace still holds everything recorded up to
+    that point.
     """
-    tracer = _ClassTracer(
+    trace = ClassTrace(kernel.name, box)
+    simulator = FunctionalSimulator(
         kernel,
-        launch,
-        box,
-        max_warp_instructions,
-        track_registers,
-        record_shared_accesses,
+        gmem=gmem.copy(),
+        max_warp_instructions=max_warp_instructions,
+        grid_batch_blocks=1,
     )
-    return tracer.run()
+    try:
+        simulator.run_blocks(launch, [box.anchor], {box.anchor: trace})
+    except SimulationError:
+        pass  # the recorder marked the trace incomplete
+    return trace

@@ -1,7 +1,9 @@
-"""Kernel static checker built on the affine tracer.
+"""Kernel static checker built on the interpreter's affine evidence.
 
-Runs the concolic class tracer over every boundary-role block class and
-turns its observations into structured diagnostics:
+Runs the anchor of every boundary-role block class on the batched
+interpreter with its class box (:func:`~repro.analysis.affine.trace_block_class`,
+on a copy of global memory) and turns the recorded evidence into
+structured diagnostics:
 
 ========================  ========  ==========================================
 code                      severity  meaning
@@ -22,7 +24,8 @@ code                      severity  meaning
                                     (legal; blocks the dedup proof)
 ``data-addresses``        info      a global address depends on loaded data
                                     (bounds not statically checkable)
-``analysis-incomplete``   info      the tracer left the affine domain and
+``analysis-incomplete``   info      the evidence left the affine domain, or
+                                    the interpreter faulted, and recording
                                     stopped early
 ========================  ========  ==========================================
 
@@ -71,16 +74,16 @@ def _sort_key(diag: Diagnostic):
 def check_kernel(
     kernel: Kernel,
     launch: LaunchConfig,
-    gmem: GlobalMemory | None = None,
+    gmem: GlobalMemory,
     *,
     max_warp_instructions: int = 2_000_000,
 ) -> list[Diagnostic]:
-    """Statically check one kernel under one launch configuration.
+    """Check one kernel under one launch configuration and memory image.
 
-    Every boundary-role block class is traced symbolically; findings
-    are deduplicated across classes.  ``gmem`` enables global
-    out-of-bounds checking against real allocations; without it only
-    shared bounds are checked.
+    Every boundary-role block class's anchor runs with its class box on
+    a copy of ``gmem`` (the caller's memory never changes); findings are
+    deduplicated across classes, and global accesses are bounds-checked
+    against ``gmem``'s allocations.
     """
     dependence = analyze_dependence(kernel)
     # Partition by block *roles* even for data-dependent kernels: the
@@ -101,6 +104,7 @@ def check_kernel(
             kernel,
             launch,
             ClassBox.from_members(cls.members),
+            gmem,
             max_warp_instructions=max_warp_instructions,
         )
         for cls in classes
@@ -134,7 +138,7 @@ class _DiagnosticFinder:
         )
 
     # ------------------------------------------------------------------
-    def scan_trace(self, trace: ClassTrace, gmem: GlobalMemory | None) -> None:
+    def scan_trace(self, trace: ClassTrace, gmem: GlobalMemory) -> None:
         box = trace.box
         at = f"blocks ({box.x0},{box.y0})..({box.x1},{box.y1})"
 
@@ -227,7 +231,7 @@ class _DiagnosticFinder:
                         )
 
     # ------------------------------------------------------------------
-    def _scan_global(self, trace: ClassTrace, gmem: GlobalMemory | None) -> None:
+    def _scan_global(self, trace: ClassTrace, gmem: GlobalMemory) -> None:
         box = trace.box
         for access in trace.global_accesses:
             if access.unknown:
@@ -250,8 +254,6 @@ class _DiagnosticFinder:
                     "is not 4-byte aligned",
                     dedup_key=("global-oob", access.index),
                 )
-                continue
-            if gmem is None:
                 continue
             lo, hi = box.extremes(
                 access.stride_x.astype(float), access.stride_y.astype(float)

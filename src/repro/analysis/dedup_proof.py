@@ -5,13 +5,16 @@ The engine's dedup (``sim/engine.py``) claims that every member of a
 trace; this module *proves* it for affine kernels, so a proved class
 simulates only its representative.
 
-The argument is translation invariance.  The concolic tracer
-(:mod:`repro.analysis.affine`) executes the class's anchor member and
-derives, for every value, exact strides per unit of ``ctaid``.  The
-trace of any member at offset ``(dx, dy)`` inside the class box is then
-the anchor's trace with every global byte address shifted by
-``sx*dx + sy*dy`` -- provided control flow and shared addresses carry no
-stride at all, which the tracer certifies.  The trace *statistics*
+The argument is translation invariance.  While the interpreter runs
+the class's anchor member, the evidence recorder
+(:mod:`repro.analysis.affine`) derives, for every value, exact strides
+per unit of ``ctaid``.  The trace of any member at offset ``(dx, dy)``
+inside the class box is then the anchor's trace with every global byte
+address shifted by ``sx*dx + sy*dy`` -- provided control flow and shared
+addresses carry no stride at all, which the evidence certifies.  The
+engine interprets the anchor first (it is the class's representative)
+and proves the class from that run's evidence afterwards
+(:func:`prove_class_evidence`).  The trace *statistics*
 (``BlockTrace.stats_key``) are invariant under that shift when, per
 half-warp (the coalescing unit, see ``memory/coalescing.py``), one of:
 
@@ -42,7 +45,7 @@ from repro.arch.specs import HALF_WARP
 from repro.isa.program import Kernel
 from repro.sim.functional import LaunchConfig
 from repro.sim.memory import GlobalMemory
-from repro.analysis.affine import ClassBox, trace_block_class
+from repro.analysis.affine import ClassBox, ClassTrace, trace_block_class
 
 #: All supported transaction configs have power-of-two segments capped
 #: at this size; address shifts that are multiples of it translate the
@@ -76,9 +79,11 @@ def prove_block_class(
     """Try to prove every member of a class traces like the anchor.
 
     ``members`` is the class's full member list; the anchor (minimum
-    ctaid) must be the member the engine actually simulates.  Returns a
-    :class:`ProofResult`; ``proved=False`` is always sound (the caller
-    simulates every member) and carries the first obstruction found.
+    ctaid) must be the member the engine actually simulates.  Runs the
+    anchor with the class box (:func:`trace_block_class`) and applies
+    :func:`prove_class_evidence`.  Returns a :class:`ProofResult`;
+    ``proved=False`` is always sound (the caller simulates every member)
+    and carries the first obstruction found.
     """
     if len(members) < 2:
         return ProofResult(True, "singleton class", 0)
@@ -88,17 +93,16 @@ def prove_block_class(
         return _refuse("class members do not tile a ctaid rectangle")
 
     trace = trace_block_class(
-        kernel,
-        launch,
-        box,
-        max_warp_instructions=max_warp_instructions,
-        # The proof reads global accesses, control evidence and the
-        # shared_strided flag only; skip the checker's register
-        # provenance and per-warp shared access records.
-        track_registers=False,
-        record_shared_accesses=False,
+        kernel, launch, box, gmem, max_warp_instructions=max_warp_instructions
     )
+    return prove_class_evidence(trace, launch, gmem)
 
+
+def prove_class_evidence(
+    trace: ClassTrace, launch: LaunchConfig, gmem: GlobalMemory
+) -> ProofResult:
+    """The proof rules over the evidence of one class's anchor run."""
+    box = trace.box
     if not trace.complete:
         index, code, message = trace.incomplete
         return _refuse(f"analysis incomplete at instruction {index}: {message} ({code})")

@@ -109,7 +109,7 @@ def analysis_case(name: str) -> AnalysisCase:
 
 
 #: Checker codes that mean some address left the affine domain: it
-#: depends on loaded data, or the class tracer had to give up.
+#: depends on loaded data, or the evidence recording stopped early.
 _NON_AFFINE_CODES = ("data-addresses", "analysis-incomplete")
 
 
@@ -119,7 +119,7 @@ class KernelReport:
 
     name: str
     diagnostics: tuple[Diagnostic, ...]
-    affine: bool  # no data-dependent address, tracer stayed affine
+    affine: bool  # no data-dependent address, evidence stayed affine
 
     def count(self, severity: str) -> int:
         return sum(1 for d in self.diagnostics if d.severity == severity)

@@ -41,18 +41,6 @@ class ThroughputCurve:
         t = (x - xs[lo]) / (xs[hi] - xs[lo])
         return ys[lo] + t * (ys[hi] - ys[lo])
 
-    @property
-    def peak(self) -> float:
-        return max(self.ys)
-
-    def saturation_x(self, fraction: float = 0.95) -> float:
-        """Smallest sampled x reaching ``fraction`` of the peak."""
-        target = fraction * self.peak
-        for x, y in zip(self.xs, self.ys):
-            if y >= target:
-                return x
-        return self.xs[-1]
-
 
 def instruction_curves(
     tables: CalibrationTables,

@@ -17,14 +17,17 @@ pattern -- so the engine exploits that structure instead of brute force:
    per class is simulated and its :class:`BlockTrace` is replicated with
    the exact class multiplicity (:func:`aggregate_weighted` -- no
    representative-sample extrapolation).
-2. **Verification: the static proof.**  Taint analysis is
+2. **Verification: the dedup proof.**  Taint analysis is
    conservative about what it *refuses* to dedup, but it cannot show
    that block-dependent global addresses preserve coalescing.  Every
-   multi-member class goes to the static soundness proof
-   (:mod:`repro.analysis.dedup_proof`); a proved class simulates only
-   its representative.  A class the proof refuses is split into one
-   class per member before anything is simulated, so every member is
-   interpreted and the aggregate stays exact.
+   class's representative is interpreted once; for a multi-member class
+   the interpreter also records the class's affine evidence while it
+   runs (:mod:`repro.analysis.affine`), and the soundness proof
+   (:mod:`repro.analysis.dedup_proof`) checks that evidence afterwards.
+   A proved class replicates its representative's trace.  A class the
+   proof refuses is split into one class per member, and its remaining
+   members are interpreted in a second batch, so the aggregate stays
+   exact.
 3. **Parallel fan-out.**  Blocks that do need simulating are distributed
    over a ``multiprocessing`` pool (``workers`` > 1).  Each worker gets
    the pre-launch global-memory arena through the pool initializer
@@ -477,9 +480,11 @@ def _init_worker(
     _WORKER_STATE = (simulator, launch)
 
 
-def _run_chunk_task(chunk: list[tuple[int, int]]) -> list[BlockTrace]:
+def _run_chunk_task(task: tuple[list, dict]) -> tuple[list[BlockTrace], dict]:
+    """Simulate one chunk; its class evidence returns with its traces."""
     simulator, launch = _WORKER_STATE
-    return simulator.run_blocks(launch, chunk)
+    chunk, evidence = task
+    return simulator.run_blocks(launch, chunk, evidence), evidence
 
 
 # ----------------------------------------------------------------------
@@ -734,32 +739,55 @@ class SimulationEngine:
 
         # Imported lazily: repro.analysis.checks imports this module for
         # the taint pass and the block partitioner.
-        from repro.analysis.dedup_proof import prove_block_class
+        from repro.analysis import dedup_proof
+        from repro.analysis.affine import ClassBox, ClassTrace
 
-        # Phase 1: static soundness proof.  A proved class is exact by
-        # translation invariance and keeps its single representative; a
-        # refused class becomes one class per member, so every member
-        # is simulated.
+        # Phase 1: every representative in one (possibly parallel)
+        # batch; a multi-member class's representative is its anchor and
+        # records the class's evidence while it runs.
         candidates = partition_blocks(launch, self.dependence)
+        boxes = {
+            cls.representative: ClassBox.from_members(cls.members)
+            for cls in candidates
+            if len(cls.members) > 1
+        }
+        evidence = {
+            block: ClassTrace(self.kernel.name, box)
+            for block, box in boxes.items()
+            if box is not None
+        }
+        representatives = [cls.representative for cls in candidates]
+        simulated = dict(
+            zip(
+                representatives,
+                self._simulate(launch, representatives, evidence),
+            )
+        )
+
+        # Phase 2: the soundness proof over that evidence.  A proved
+        # class is exact by translation invariance and keeps its single
+        # representative; a refused class becomes one class per member,
+        # and its remaining members are simulated.
         classes: list[BlockClass] = []
         proved = 0
+        rest: list[tuple[int, int]] = []
         with obs.span("engine.proof", classes=len(candidates)):
             for cls in candidates:
+                trace = evidence.get(cls.representative)
                 if len(cls.members) < 2:
                     classes.append(cls)
-                elif prove_block_class(
-                    self.kernel, launch, cls.members, self.gmem
+                elif trace is not None and dedup_proof.prove_class_evidence(
+                    trace, launch, self.gmem
                 ).proved:
                     classes.append(cls)
                     proved += 1
                 else:
                     classes.extend(BlockClass([b]) for b in cls.members)
+                    rest.extend(cls.members[1:])
                     self._proof_fallbacks += 1
-
-        # Phase 2: every representative in one (possibly parallel) batch.
-        traces = self._simulate(
-            launch, [cls.representative for cls in classes]
-        )
+        if rest:
+            simulated.update(zip(rest, self._simulate(launch, rest)))
+        traces = [simulated[cls.representative] for cls in classes]
         # Data-dependent grids are all singleton classes, so every block
         # has a real trace here: check cross-block RAW.
         self._warn_cross_block_raw(traces)
@@ -796,17 +824,23 @@ class SimulationEngine:
 
     # ------------------------------------------------------------------
     def _simulate(
-        self, launch: LaunchConfig, blocks: list[tuple[int, int]]
+        self,
+        launch: LaunchConfig,
+        blocks: list[tuple[int, int]],
+        evidence: dict | None = None,
     ) -> list[BlockTrace]:
         from repro import obs
 
         with obs.span(
             "engine.simulate", blocks=len(blocks), workers=self.workers
         ):
-            return self._simulate_blocks(launch, blocks)
+            return self._simulate_blocks(launch, blocks, evidence or {})
 
     def _simulate_blocks(
-        self, launch: LaunchConfig, blocks: list[tuple[int, int]]
+        self,
+        launch: LaunchConfig,
+        blocks: list[tuple[int, int]],
+        evidence: dict,
     ) -> list[BlockTrace]:
         """Simulate blocks, preserving order; parallel when configured.
 
@@ -815,18 +849,28 @@ class SimulationEngine:
         interpreter for barrier-free kernels.  Pool policy (fork on
         Linux only, serial fallback, deterministic order) lives in
         :mod:`repro.pool`, shared with the hardware timing layer.
+        ``evidence`` (block -> empty ``ClassTrace``) is filled in place;
+        a pooled chunk's evidence comes back with its traces.
         """
         if self.workers <= 1 or len(blocks) <= 1:
-            return self.simulator.run_blocks(launch, blocks)
+            return self.simulator.run_blocks(launch, blocks, evidence)
         step = max(1, int(self.simulator.grid_batch_blocks_for(launch)))
-        chunks = [blocks[i : i + step] for i in range(0, len(blocks), step)]
+        tasks = [
+            (chunk, {b: evidence[b] for b in chunk if b in evidence})
+            for chunk in (
+                blocks[i : i + step] for i in range(0, len(blocks), step)
+            )
+        ]
         # Workers get the pre-launch arena through initargs: fork pools
         # inherit it copy-on-write, spawn pools pickle it once per
         # worker.  Either way each worker writes to a private copy.
         results = map_tasks(
-            chunks,
+            tasks,
             self.workers,
-            serial_fn=lambda chunk: self.simulator.run_blocks(launch, chunk),
+            serial_fn=lambda task: (
+                self.simulator.run_blocks(launch, *task),
+                task[1],
+            ),
             worker_fn=_run_chunk_task,
             initializer=_init_worker,
             initargs=(
@@ -844,9 +888,11 @@ class SimulationEngine:
         # in-process interpreter shares grid-wide; re-interning keeps a
         # pooled (or partially serial-recovered) run's aggregate
         # pickle-byte-identical to the serial reference.
+        for _, chunk_evidence in results:
+            evidence.update(chunk_evidence)
         return [
             intern_stage_strings(trace)
-            for chunk_traces in results
+            for chunk_traces, _ in results
             for trace in chunk_traces
         ]
 

@@ -630,6 +630,7 @@ class FunctionalSimulator:
         self,
         launch: LaunchConfig,
         blocks: list[tuple[int, int]],
+        evidence: dict | None = None,
     ) -> list[BlockTrace]:
         """Simulate many blocks, in order.
 
@@ -641,6 +642,12 @@ class FunctionalSimulator:
         kernels (the paper's SpMV) and barrier-synchronized ones
         (matmul, cyclic reduction: blocks release their barriers
         independently) cheap.  The per-warp oracle runs block by block.
+
+        ``evidence`` maps blocks to empty
+        :class:`~repro.analysis.affine.ClassTrace` objects: each listed
+        block's slab slot carries the trace's class box, and the trace is
+        filled in place while the block runs.  The per-warp oracle
+        records nothing, so its traces stay ``incomplete``.
         """
         from repro import obs
 
@@ -657,7 +664,7 @@ class FunctionalSimulator:
                 obs.metrics.inc("functional.blocks", len(blocks))
             for start in range(0, len(blocks), step):
                 chunk = blocks[start : start + step]
-                traces.extend(self._run_slab(launch, chunk)[0])
+                traces.extend(self._run_slab(launch, chunk, evidence)[0])
         return traces
 
     def run_block(
@@ -697,14 +704,33 @@ class FunctionalSimulator:
         return run.finish([warp.stream for warp in run.warps]), run
 
     def _run_slab(
-        self, launch: LaunchConfig, blocks: list[tuple[int, int]]
+        self,
+        launch: LaunchConfig,
+        blocks: list[tuple[int, int]],
+        evidence: dict | None = None,
     ) -> tuple[list[BlockTrace], _GridRun]:
-        """Run one slab of blocks on the batched interpreter."""
+        """Run one slab of blocks on the batched interpreter, recording
+        class evidence for the blocks ``evidence`` lists."""
         for block in blocks:
             self._check_block(launch, block)
         run = _GridRun(self.kernel, launch, blocks)
         interpreter = _BatchedInterpreter(self, run)
-        interpreter.execute()
+        if evidence:
+            from repro.analysis.affine import ClassRecorder
+
+            interpreter.recorders = tuple(
+                ClassRecorder(evidence[block], interpreter, index)
+                for index, block in enumerate(blocks)
+                if block in evidence
+            )
+        try:
+            interpreter.execute()
+        except SimulationError as error:
+            for recorder in interpreter.recorders:
+                recorder.fail(error)
+            raise
+        for recorder in interpreter.recorders:
+            recorder.finish()
         return run.finish(interpreter.streams), run
 
     # ------------------------------------------------------------------
@@ -1068,6 +1094,14 @@ class _BatchedInterpreter:
     every kernel whose cross-warp communication is barrier-synchronized
     (unsynchronized intra-stage races are schedule-dependent in either
     interpreter).
+
+    This is also the one source of the dedup proof's and the static
+    checker's evidence: a slot whose block anchors a class carries a
+    :class:`~repro.analysis.affine.ClassRecorder` (``recorders``), and
+    every step but ``exit`` hands it the PC-group's lane mask and
+    guard-applied active lanes before the instruction executes.  The
+    recorder only reads interpreter state, so the trace is the same with
+    or without one.
     """
 
     __slots__ = (
@@ -1097,6 +1131,7 @@ class _BatchedInterpreter:
         "warp_range",
         "all_warps",
         "_unmarked",
+        "recorders",
         "_operand_cache",
         "_alloc_cache",
         "_gran_configs",
@@ -1142,6 +1177,10 @@ class _BatchedInterpreter:
         # Rows whose warp has not yet done "real work" in the current
         # stage (stage-warp marking amortizes through this).
         self._unmarked = set(self.all_warps)
+        #: Evidence recorders of the slab's boxed blocks (see
+        #: :class:`repro.analysis.affine.ClassRecorder`), fed every
+        #: step but ``exit`` before the instruction executes.
+        self.recorders: tuple = ()
         # Immediates and launch-uniform specials never change during a
         # run and are only ever read, so their slabs are shared; global
         # allocation lookups are memoized per static instruction.
@@ -1229,6 +1268,8 @@ class _BatchedInterpreter:
                 self._release_arrived(ws)
             return
         if kind == OpKind.BARRIER:
+            for recorder in self.recorders:
+                recorder.record(pc, decoded, mask, mask)
             divergent = group & (mask != self.alive).any(axis=1)
             if divergent.any():
                 row = int(np.flatnonzero(divergent)[0])
@@ -1253,6 +1294,8 @@ class _BatchedInterpreter:
                 active = mask & self.P3[:, :, pidx]
             else:
                 active = mask & ~self.P3[:, :, pidx]
+        for recorder in self.recorders:
+            recorder.record(pc, decoded, mask, active)
 
         if kind == OpKind.BRANCH:
             self._record_issue(decoded, ws)

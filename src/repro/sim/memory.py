@@ -96,6 +96,15 @@ class GlobalMemory:
         """Names of texture-bound allocations (batch-lookup helper)."""
         return frozenset(self._cacheable)
 
+    def copy(self) -> GlobalMemory:
+        """An independent arena with the same allocations and contents."""
+        clone = GlobalMemory.__new__(GlobalMemory)
+        clone._data = self._data[: self._top // 4].copy()
+        clone._top = self._top
+        clone._allocations = list(self._allocations)
+        clone._cacheable = set(self._cacheable)
+        return clone
+
     def digest(self) -> str:
         """Content fingerprint of the arena (layout, flags and data).
 

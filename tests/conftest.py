@@ -42,3 +42,30 @@ def tables(gpu):
 @pytest.fixture(scope="session")
 def model(tables) -> PerformanceModel:
     return PerformanceModel(tables)
+
+
+@pytest.fixture
+def engine_proofs(monkeypatch):
+    """Run a dedup engine, capturing its ProofResult per class anchor.
+
+    Returns ``run(kernel, launch, gmem, **engine_kwargs)`` ->
+    ``(KernelTrace, {anchor: ProofResult})``; the proof runs in the
+    main process even when the engine simulates on a pool.
+    """
+    import repro.analysis.dedup_proof as dedup_proof
+    from repro.sim.engine import SimulationEngine
+
+    real = dedup_proof.prove_class_evidence
+
+    def run(kernel, launch, gmem, **engine_kwargs):
+        results = {}
+
+        def capture(trace, launch, gmem):
+            results[trace.box.anchor] = real(trace, launch, gmem)
+            return results[trace.box.anchor]
+
+        monkeypatch.setattr(dedup_proof, "prove_class_evidence", capture)
+        engine = SimulationEngine(kernel, gmem=gmem, **engine_kwargs)
+        return engine.run(launch), results
+
+    return run

@@ -1,4 +1,4 @@
-"""Class boxes and the concolic class tracer."""
+"""Class boxes and the evidence recorded while a class anchor runs."""
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class TestClassTracer:
         kernel = _linear_store_kernel()
         gmem = GlobalMemory()
         launch = self._launch(gmem)
-        trace = trace_block_class(kernel, launch, ClassBox(0, 3, 0, 0))
+        trace = trace_block_class(kernel, launch, ClassBox(0, 3, 0, 0), gmem)
         assert trace.complete
         (access,) = trace.global_accesses
         assert access.store
@@ -77,7 +77,7 @@ class TestClassTracer:
         kernel = b.build()
         gmem = GlobalMemory()
         launch = self._launch(gmem)
-        trace = trace_block_class(kernel, launch, ClassBox(0, 3, 0, 0))
+        trace = trace_block_class(kernel, launch, ClassBox(0, 3, 0, 0), gmem)
         assert trace.complete
         assert trace.nonuniform_control == []
 
@@ -101,14 +101,70 @@ class TestClassTracer:
             grid=(4, 1), block_threads=32, params={"out": out, "n": 100}
         )
         # The cutoff (100) falls strictly inside the 4-block box.
-        trace = trace_block_class(kernel, launch, ClassBox(0, 3, 0, 0))
+        trace = trace_block_class(kernel, launch, ClassBox(0, 3, 0, 0), gmem)
         assert trace.nonuniform_control
 
     def test_degenerate_box_matches_concrete_execution(self):
         kernel = _linear_store_kernel()
         gmem = GlobalMemory()
         launch = self._launch(gmem)
-        trace = trace_block_class(kernel, launch, ClassBox(2, 2, 0, 0))
+        trace = trace_block_class(kernel, launch, ClassBox(2, 2, 0, 0), gmem)
         (access,) = trace.global_accesses
         base = launch.params["out"]
         assert access.addresses[0] == base + 2 * 32 * 4
+
+
+class TestRecordingIsInvisible:
+    def test_block_trace_is_unchanged_by_a_box(self):
+        import pickle
+
+        from repro.analysis.affine import ClassTrace
+        from repro.analysis.report import analysis_case
+        from repro.sim.functional import FunctionalSimulator
+
+        case = analysis_case("matmul")
+        anchor = (0, 0)
+        plain = FunctionalSimulator(case.kernel, gmem=case.gmem.copy())
+        recorded = FunctionalSimulator(case.kernel, gmem=case.gmem.copy())
+        evidence = {anchor: ClassTrace(case.kernel.name, ClassBox(0, 1, 0, 7))}
+        (expected,) = plain.run_blocks(case.launch, [anchor])
+        (got,) = recorded.run_blocks(case.launch, [anchor], evidence)
+        assert pickle.dumps(got) == pickle.dumps(expected)
+        assert evidence[anchor].complete
+        assert evidence[anchor].global_accesses
+
+    def test_unrecorded_trace_is_incomplete(self):
+        from repro.analysis.affine import ClassTrace
+        from repro.analysis.dedup_proof import prove_class_evidence
+
+        trace = ClassTrace("k", ClassBox(0, 3, 0, 0))
+        assert not trace.complete
+        gmem = GlobalMemory()
+        launch = LaunchConfig(grid=(4, 1), block_threads=32)
+        assert not prove_class_evidence(trace, launch, gmem).proved
+
+    def test_runaway_warp_stops_the_evidence(self):
+        b = KernelBuilder("spin", params=("out",))
+        v = b.reg()
+        b.mov(v, Imm(1.0))
+        top = b.label()
+        b.fadd(v, v, v)
+        b.bra(top)
+        b.exit()
+        kernel = b.build()
+        gmem = GlobalMemory()
+        launch = LaunchConfig(
+            grid=(4, 1), block_threads=32, params={"out": gmem.alloc(32)}
+        )
+        trace = trace_block_class(
+            kernel,
+            launch,
+            ClassBox(0, 3, 0, 0),
+            gmem,
+            max_warp_instructions=1000,
+        )
+        # The 1001st issue is the 500th branch: the interpreter raises
+        # before it runs, so the evidence ends at the 500th fadd.
+        index, code, _ = trace.incomplete
+        assert (index, code) == (1, "runaway")
+        assert trace.register_writes[1] == 32 * 500

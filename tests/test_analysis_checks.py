@@ -88,6 +88,42 @@ class TestSeededGlobalOob:
         assert oob[0].index == last_store
 
 
+class TestSeededSharedOob:
+    def test_halo_store_one_word_past_the_footprint_is_flagged(self):
+        # Stencil's right-halo store (thread 63 only) writes word 65,
+        # the last of the 66-word footprint.  Shift it by one word: the
+        # store lands on byte 264, and the interpreter would raise
+        # there, after the evidence recorded the access.
+        case = analysis_case("stencil")
+        kernel = case.kernel
+        halo = kernel.instructions[12]  # sts s[r7+0x8], r9
+        assert isinstance(halo.dst, MemRef) and halo.dst.space == "shared"
+        assert kernel.shared_memory_words == 66
+        mutated = replace(
+            kernel,
+            instructions=tuple(
+                replace(ins, dst=replace(ins.dst, offset=ins.dst.offset + 4))
+                if i == 12
+                else ins
+                for i, ins in enumerate(kernel.instructions)
+            ),
+        )
+        diagnostics = check_kernel(mutated, case.launch, case.gmem)
+        assert codes(diagnostics, "error") == ["shared-oob"]
+        (oob,) = [d for d in diagnostics if d.code == "shared-oob"]
+        assert oob.index == 12
+        assert "byte 264 outside [0, 264)" in oob.message
+
+
+class TestCheckerLeavesMemory:
+    def test_global_memory_is_unchanged(self):
+        # The anchors' stores execute, on a copy of the caller's arena.
+        case = analysis_case("matmul")
+        before = case.gmem.digest()
+        check_kernel(case.kernel, case.launch, case.gmem)
+        assert case.gmem.digest() == before
+
+
 class TestSeededDivergentBarrier:
     def test_barrier_under_thread_guard_is_flagged(self):
         # Scan's tid<16 reduction body runs on half of warp 0; a

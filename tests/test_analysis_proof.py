@@ -71,7 +71,7 @@ def _refuse_every_class(monkeypatch):
 
     monkeypatch.setattr(
         dedup_proof,
-        "prove_block_class",
+        "prove_class_evidence",
         lambda *a, **k: dedup_proof.ProofResult(False, "refused by test"),
     )
 
@@ -110,6 +110,32 @@ class TestDifferentialProofVsProbe:
             refused_stats.health.proof_fallbacks
             == proof_stats.proved_classes
         )
+
+
+class TestPooledEvidence:
+    def test_pooled_chunks_return_their_evidence(self, engine_proofs):
+        # One block per slab: the three class representatives of the
+        # guarded stencil become three pool tasks (a lone task would
+        # run in-process), and each chunk's evidence must come back
+        # with its traces for the proof to see it.
+        def run(**engine_kwargs):
+            case = analysis_case("stencil_guarded")
+            return engine_proofs(
+                case.kernel, case.launch, case.gmem, **engine_kwargs
+            )
+
+        serial, serial_proofs = run()
+        pooled, pooled_proofs = run(workers=2, grid_batch_blocks=1)
+        assert pooled_proofs == serial_proofs
+        assert [r.proved for r in pooled_proofs.values()] == [True]
+        assert pooled_proofs[(1, 0)].checked_accesses > 0
+        stats = pooled.engine_stats
+        assert stats.workers == 2
+        assert stats.proved_classes == serial.engine_stats.proved_classes == 1
+        assert stats.health.proof_fallbacks == 0
+        assert [s.canonical() for s in pooled.stages] == [
+            s.canonical() for s in serial.stages
+        ]
 
 
 class TestProofAudit:

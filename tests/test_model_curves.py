@@ -1,4 +1,4 @@
-"""Throughput curves: interpolation and saturation analysis."""
+"""Throughput curves: interpolation."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,12 +26,6 @@ class TestInterpolation:
 
     def test_clamped_above(self):
         assert curve().at(100.0) == 8.0
-
-    def test_peak(self):
-        assert curve().peak == 8.0
-
-    def test_saturation_x(self):
-        assert curve().saturation_x(0.85) == 8.0
 
     def test_bad_curves_rejected(self):
         with pytest.raises(CalibrationError):
