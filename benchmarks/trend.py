@@ -1,23 +1,28 @@
 """Perf-trajectory trend reporter over ``BENCH_engine_smoke.json`` files.
 
-CI has recorded a machine-readable measurement of every engine gate per
+CI records a machine-readable measurement of every engine gate per
 commit (``benchmarks/engine_smoke.py --check`` writes the
-``engine-smoke-perf`` artifact) since PR 4, but nothing *compared*
-trajectories across commits.  This module closes that loop: it ingests
-any number of per-commit JSON artifacts, orders them deterministically
-(recorded timestamp, then label), extracts one value per gate metric,
-and emits a JSON report plus a markdown table flagging per-gate
-regressions beyond a threshold (default 20 %).
+``engine-smoke-perf`` artifact); this script compares those
+trajectories across commits.  It ingests any number of per-commit JSON
+artifacts, orders them deterministically (recorded timestamp, then
+label), extracts one value per gate metric, and emits a JSON report
+plus a markdown table flagging per-gate regressions beyond a threshold
+(default 20 %).
 
 The reporter is a pure function of its input files -- no clocks, no
 environment -- so a unit test over fixture JSONs pins the exact report
-(the acceptance criterion) and CI reruns are reproducible.
+and CI reruns are reproducible.  Standard library only::
+
+    python benchmarks/trend.py PREV.json CUR.json [BENCH_crossval.json] \
+        --markdown TREND.md --github-warnings
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 #: Accepted payload schema prefix (see engine_smoke.write_perf_json).
@@ -324,3 +329,61 @@ def trend_report(
     """One-call entry point: ``(report dict, markdown text)``."""
     report = build_report(load_entries(inputs), threshold=threshold)
     return report, render_markdown(report)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="perf-trajectory report over BENCH_engine_smoke.json files"
+    )
+    parser.add_argument(
+        "inputs",
+        nargs="+",
+        help="JSON artifact files and/or directories containing them",
+    )
+    parser.add_argument(
+        "--threshold",
+        type=float,
+        default=DEFAULT_THRESHOLD,
+        help="relative per-gate regression flagged in the report",
+    )
+    parser.add_argument(
+        "--markdown", help="also write the markdown report to this path"
+    )
+    parser.add_argument("--json", help="also write the JSON report to this path")
+    parser.add_argument(
+        "--github-warnings",
+        action="store_true",
+        help="emit ::warning:: annotations for regressions (CI)",
+    )
+    parser.add_argument(
+        "--fail-on-regression",
+        action="store_true",
+        help="exit nonzero when any gate regressed (default: warn only)",
+    )
+    args = parser.parse_args(argv)
+
+    report, markdown = trend_report(args.inputs, threshold=args.threshold)
+    print(markdown)
+    if args.markdown:
+        with open(args.markdown, "w", encoding="utf-8") as handle:
+            handle.write(markdown)
+        print(f"markdown report written: {args.markdown}", file=sys.stderr)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+        print(f"JSON report written: {args.json}", file=sys.stderr)
+    for name in report["regressions"]:
+        message = f"engine_smoke perf trend: {name} regressed"
+        if args.github_warnings:
+            # GitHub Actions annotation: visible on the run summary
+            # without failing the job (warn, don't gate).
+            print(f"::warning title=perf trend::{message}")
+        else:
+            print(f"WARNING: {message}", file=sys.stderr)
+    if args.fail_on_regression and report["regressions"]:
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -9,11 +9,6 @@ Commands
 ``matmul`` / ``tridiag`` / ``spmv``
     Run a case study and print the model report next to the hardware
     measurement.
-``tune``
-    Measured-cost auto-tuning (:mod:`repro.tune`): ``run`` measures and
-    persists this machine's tuning profile, ``show`` prints the
-    resolved engine knobs and their provenance, ``trend`` compares
-    per-commit ``BENCH_engine_smoke.json`` artifacts.
 ``analyze``
     Run the static kernel checker (:mod:`repro.analysis`) over the
     built-in app kernels; exits nonzero on any error-severity
@@ -276,112 +271,6 @@ def _cmd_spmv(args) -> int:
     return 0
 
 
-def _cmd_tune(args) -> int:
-    return _TUNE_COMMANDS[args.tune_command](args)
-
-
-def _cmd_tune_run(args) -> int:
-    from repro.tune import autotune, default_tune_dir, save_profile
-
-    obs_log.info("measuring engine tuning parameters ...")
-    profile = autotune(
-        workers_counts=tuple(args.workers_counts),
-        slab_repeats=args.repeats,
-        events_repeats=args.repeats + 1,
-        save=False,
-    )
-    print(f"machine              : {profile.machine}")
-    print(
-        "per-event cost       : "
-        f"{profile.meta['seconds_per_event'] * 1e6:.2f} us/event, "
-        f"pool startup {profile.meta['pool_startup_seconds'] * 1e3:.1f} ms"
-    )
-    print(
-        "min_parallel_events  : "
-        + ", ".join(
-            f"{w} workers -> {v}"
-            for w, v in sorted(profile.min_parallel_events.items())
-        )
-    )
-    print(
-        "grid_batch_blocks    : "
-        + ", ".join(
-            f"{warps} warps/block -> {v}"
-            for warps, v in sorted(profile.grid_batch_blocks.items())
-        )
-        + f" (default {profile.default_grid_batch_blocks})"
-    )
-    if args.dry_run:
-        print("dry run: profile not saved")
-        return 0
-    path = save_profile(profile)
-    print(f"profile saved (auto-applied from now on): {path}")
-    print(f"profile directory    : {default_tune_dir()}")
-    return 0
-
-
-def _cmd_tune_show(args) -> int:
-    from repro.arch.specs import GTX285
-    from repro.tune import (
-        default_tune_dir,
-        load_profile,
-        machine_fingerprint,
-        resolve_with_source,
-    )
-    from repro.util import spec_fingerprint
-
-    spec = GTX285
-    spec_fp = spec_fingerprint(spec)
-    profile = load_profile(spec_fp)
-    print(f"machine              : {machine_fingerprint()}")
-    print(f"profile directory    : {default_tune_dir()}")
-    if profile is None:
-        print("profile              : none (run `python -m repro tune run`)")
-    else:
-        print(f"profile              : created {profile.created}")
-        for warps, value in sorted(profile.grid_batch_blocks.items()):
-            print(f"  grid_batch_blocks[{warps} warps/block] = {value}")
-        for workers, value in sorted(profile.min_parallel_events.items()):
-            print(f"  min_parallel_events[{workers} workers] = {value}")
-    value, source = resolve_with_source(
-        "grid_batch_blocks", spec=spec, warps_per_block=args.warps or None
-    )
-    print(f"grid_batch_blocks    : {value} (from {source})")
-    value, source = resolve_with_source(
-        "min_parallel_events", spec=spec, workers=args.workers
-    )
-    print(f"min_parallel_events  : {value} (from {source})")
-    return 0
-
-
-def _cmd_tune_trend(args) -> int:
-    from repro.tune.trend import trend_report
-
-    report, markdown = trend_report(args.inputs, threshold=args.threshold)
-    print(markdown)
-    if args.markdown:
-        with open(args.markdown, "w", encoding="utf-8") as handle:
-            handle.write(markdown)
-        print(f"markdown report written: {args.markdown}", file=sys.stderr)
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"JSON report written: {args.json}", file=sys.stderr)
-    for name in report["regressions"]:
-        message = f"engine_smoke perf trend: {name} regressed"
-        if args.github_warnings:
-            # GitHub Actions annotation: visible on the run summary
-            # without failing the job (warn, don't gate).
-            print(f"::warning title=perf trend::{message}")
-        else:
-            print(f"WARNING: {message}", file=sys.stderr)
-    if args.fail_on_regression and report["regressions"]:
-        return 1
-    return 0
-
-
 def _cmd_obs(args) -> int:
     return _OBS_COMMANDS[args.obs_command](args)
 
@@ -605,83 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
             case.add_argument("--cache", action="store_true")
 
-    tune = sub.add_parser(
-        "tune",
-        help="measured-cost auto-tuning (profiles, knobs, perf trends)",
-    )
-    tune_sub = tune.add_subparsers(dest="tune_command", required=True)
-
-    tune_run = tune_sub.add_parser(
-        "run", help="measure this machine and persist a tuning profile"
-    )
-    tune_run.add_argument(
-        "--repeats",
-        type=int,
-        default=2,
-        help="best-of repeats per measurement (higher = less noise)",
-    )
-    tune_run.add_argument(
-        "--workers-counts",
-        type=int,
-        nargs="+",
-        default=[2, 4, 8],
-        metavar="N",
-        help="pool widths to compute serial/pool crossovers for",
-    )
-    tune_run.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="measure and print, but do not persist the profile",
-    )
-
-    tune_show = tune_sub.add_parser(
-        "show", help="print resolved tuning values and their provenance"
-    )
-    tune_show.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="pool width context for the min_parallel_events lookup",
-    )
-    tune_show.add_argument(
-        "--warps",
-        type=int,
-        default=0,
-        help="warps-per-block context for the grid_batch_blocks lookup",
-    )
-
-    tune_trend = tune_sub.add_parser(
-        "trend",
-        help="perf-trajectory report over BENCH_engine_smoke.json files",
-    )
-    tune_trend.add_argument(
-        "inputs",
-        nargs="+",
-        help="JSON artifact files and/or directories containing them",
-    )
-    tune_trend.add_argument(
-        "--threshold",
-        type=float,
-        default=0.2,
-        help="relative per-gate regression flagged in the report",
-    )
-    tune_trend.add_argument(
-        "--markdown", help="also write the markdown report to this path"
-    )
-    tune_trend.add_argument(
-        "--json", help="also write the JSON report to this path"
-    )
-    tune_trend.add_argument(
-        "--github-warnings",
-        action="store_true",
-        help="emit ::warning:: annotations for regressions (CI)",
-    )
-    tune_trend.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help="exit nonzero when any gate regressed (default: warn only)",
-    )
-
     obs_cmd = sub.add_parser(
         "obs",
         help="observability runs: summarize traces recorded with --obs",
@@ -842,7 +654,6 @@ _COMMANDS = {
     "matmul": _cmd_matmul,
     "tridiag": _cmd_tridiag,
     "spmv": _cmd_spmv,
-    "tune": _cmd_tune,
     "analyze": _cmd_analyze,
     "specs": _cmd_specs,
     "obs": _cmd_obs,
@@ -857,13 +668,6 @@ _SPECS_COMMANDS = {
     "show": _cmd_specs_show,
     "crossval": _cmd_specs_crossval,
 }
-
-_TUNE_COMMANDS = {
-    "run": _cmd_tune_run,
-    "show": _cmd_tune_show,
-    "trend": _cmd_tune_trend,
-}
-
 
 def main(argv: list[str] | None = None) -> int:
     from repro.errors import ReproError

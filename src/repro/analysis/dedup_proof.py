@@ -118,21 +118,35 @@ def prove_class_evidence(
             f"{trace.shared_strided[0]} varies across the class"
         )
 
+    # The bump allocator hands out ascending bases, so one searchsorted
+    # finds every lane's allocation.  Row 0 is a sentinel containing no
+    # address: lanes below the first base land there.
+    floor = np.iinfo(np.int64).min
+    allocations = (None, *gmem.allocations)
+    table = (
+        allocations,
+        np.array([floor] + [a.base for a in allocations[1:]], dtype=np.int64),
+        np.array([floor] + [a.end for a in allocations[1:]], dtype=np.int64),
+    )
     checked = 0
     for access in trace.global_accesses:
         if access.unknown:
             return _refuse(
                 f"global address at instruction {access.index} is data-dependent"
             )
-        result = _check_global_access(access, box, launch, gmem)
+        result = _check_global_access(access, box, launch, table)
         if result is not None:
             return _refuse(result, checked)
         checked += 1
     return ProofResult(True, "affine translation invariance", checked)
 
 
-def _check_global_access(access, box: ClassBox, launch, gmem) -> str | None:
-    """One access's obstruction to translation invariance, or None."""
+def _check_global_access(access, box: ClassBox, launch, table) -> str | None:
+    """One access's obstruction to translation invariance, or None.
+
+    ``table`` is ``(allocations, bases, ends)`` as
+    :func:`prove_class_evidence` builds it, sentinel row included.
+    """
     # Degenerate box dimensions never shift: zero the irrelevant stride.
     sx = access.stride_x if box.x1 > box.x0 else np.zeros_like(access.stride_x)
     sy = access.stride_y if box.y1 > box.y0 else np.zeros_like(access.stride_y)
@@ -177,17 +191,20 @@ def _check_global_access(access, box: ClassBox, launch, gmem) -> str | None:
     lo, hi = box.extremes(sx.astype(float), sy.astype(float))
     span_lo = access.addresses + lo.astype(np.int64)
     span_hi = access.addresses + hi.astype(np.int64) + 4
-    for k in range(len(access.addresses)):
-        allocation = gmem.allocation_at(int(access.addresses[k]))
-        if allocation is None:
-            return (
-                f"instruction {access.index}: anchor address "
-                f"{int(access.addresses[k])} is outside every allocation"
-            )
-        if int(span_lo[k]) < allocation.base or int(span_hi[k]) > allocation.end:
-            return (
-                f"instruction {access.index}: shifted access range "
-                f"[{int(span_lo[k])}, {int(span_hi[k])}) escapes "
-                f"allocation {allocation.name!r}"
-            )
-    return None
+    allocations, bases, ends = table
+    owner = np.searchsorted(bases, access.addresses, side="right") - 1
+    outside = access.addresses >= ends[owner]
+    escapes = outside | (span_lo < bases[owner]) | (span_hi > ends[owner])
+    if not escapes.any():
+        return None
+    k = int(escapes.argmax())
+    if outside[k]:
+        return (
+            f"instruction {access.index}: anchor address "
+            f"{int(access.addresses[k])} is outside every allocation"
+        )
+    return (
+        f"instruction {access.index}: shifted access range "
+        f"[{int(span_lo[k])}, {int(span_hi[k])}) escapes "
+        f"allocation {allocations[owner[k]].name!r}"
+    )

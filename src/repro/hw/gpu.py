@@ -45,8 +45,11 @@ from repro.hw.engine import (
 )
 from repro.pool import HealthRecord, Pending, PoolHealth
 from repro.sim.trace import EV_GLOBAL_LD, EV_GLOBAL_ST, BlockTrace
-from repro.tune import resolve as tune_resolve
 from repro.util import source_digest, spec_fingerprint
+
+#: Serial/pool crossover when the ``min_parallel_events`` kwarg is not
+#: given.  Wall-clock only: results are bit-identical either side of it.
+DEFAULT_MIN_PARALLEL_EVENTS = 50_000
 
 
 @dataclass(frozen=True)
@@ -95,10 +98,8 @@ class HardwareGpu:
         Serial/pool crossover: measurements whose queues replay fewer
         events than this stay serial even with ``workers > 1`` (results
         are bit-identical either way; this is purely wall-clock).
-        ``None`` resolves through :func:`repro.tune.resolve` --
-        ``$REPRO_TUNE_MIN_PARALLEL_EVENTS``, then the machine's
-        persisted tuning profile (``repro tune run``), then the
-        built-in default.
+        Clamped to at least 0; ``None`` means
+        :data:`DEFAULT_MIN_PARALLEL_EVENTS`.
     task_timeout:
         Per-task watchdog budget (seconds) for pooled cluster jobs; a
         hung worker is killed after this long and its job re-executed
@@ -118,11 +119,10 @@ class HardwareGpu:
         self.config = config or HwConfig()
         self.workers = max(0, int(workers))
         self.task_timeout = task_timeout
-        self.min_parallel_events = tune_resolve(
-            "min_parallel_events",
-            kwarg=min_parallel_events,
-            spec=spec,
-            workers=self.workers,
+        self.min_parallel_events = (
+            DEFAULT_MIN_PARALLEL_EVENTS
+            if min_parallel_events is None
+            else max(0, int(min_parallel_events))
         )
         self.cache = (
             MeasuredRunCache(cache_dir) if cache_dir is not None else None

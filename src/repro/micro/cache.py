@@ -50,8 +50,8 @@ def default_cache_dir() -> Path:
     """Cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
 
     The resolution itself lives in :func:`repro.util.default_cache_dir`
-    (shared with the tuning-profile store); this wrapper keeps the
-    historical :class:`~pathlib.Path` return type.
+    (shared with the trace and measured-run caches); this wrapper
+    keeps the historical :class:`~pathlib.Path` return type.
     """
     return Path(_default_cache_root())
 

@@ -11,21 +11,23 @@ four files next to each other in the output directory:
   parallel swimlanes under the main track;
 * ``metrics.json`` -- the counter/gauge/histogram registry snapshot;
 * ``manifest.json`` -- run provenance: command line, spec fingerprints
-  and the source digest that versions every cache, tuning provenance,
-  git describe, the active fault plan, interpreter/platform, wall-clock
-  timestamps, and ``wall_ms`` (recorder start to export, the denominator
-  of the report's ``unattributed`` row).
+  and the source digest that versions every cache, the machine
+  fingerprint, git describe, the active fault plan,
+  interpreter/platform, wall-clock timestamps, and ``wall_ms``
+  (recorder start to export, the denominator of the report's
+  ``unattributed`` row).
 
-Every manifest section is assembled fail-open (a missing git binary or
-an unreadable tuning profile yields ``null``, never a crashed run), and
-the writers go through :func:`repro.util.atomic_write_bytes` so a
-killed run cannot leave a torn file.
+Every manifest section is assembled fail-open (a missing git binary
+yields ``null``, never a crashed run), and the writers go through
+:func:`repro.util.atomic_write_bytes` so a killed run cannot leave a
+torn file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import sys
 import time
 
@@ -33,7 +35,7 @@ from repro.obs.core import Recorder
 from repro.util import source_digest
 
 #: Manifest schema stamp.
-MANIFEST_SCHEMA = "obs_manifest/2"
+MANIFEST_SCHEMA = "obs_manifest/3"
 
 #: Chrome trace process id (single logical process per run).
 _PID = 1
@@ -155,20 +157,6 @@ def _git_describe() -> str | None:
     return text if result.returncode == 0 and text else None
 
 
-def _tuning_provenance() -> dict | None:
-    """Resolved engine knobs and where each value came from."""
-    try:
-        from repro.tune import resolve_with_source
-
-        tuning = {}
-        for knob in ("grid_batch_blocks", "min_parallel_events"):
-            value, source = resolve_with_source(knob)
-            tuning[knob] = {"value": value, "source": source}
-        return tuning
-    except Exception:
-        return None
-
-
 def _fault_plan() -> str | None:
     try:
         from repro import faults
@@ -179,13 +167,18 @@ def _fault_plan() -> str | None:
         return None
 
 
-def _machine() -> str | None:
-    try:
-        from repro.tune.profile import machine_fingerprint
-
-        return machine_fingerprint()
-    except Exception:
-        return None
+def machine_fingerprint() -> str:
+    """Hostname, architecture, Python implementation/version and core
+    count: enough to tell two machines' manifests apart."""
+    return "|".join(
+        (
+            platform.node() or "unknown-host",
+            platform.machine() or "unknown-arch",
+            platform.python_implementation(),
+            f"{sys.version_info[0]}.{sys.version_info[1]}",
+            f"cpus={os.cpu_count() or 1}",
+        )
+    )
 
 
 def build_manifest(
@@ -194,8 +187,6 @@ def build_manifest(
     command: str | None = None,
     exit_status: int | None = None,
 ) -> dict:
-    import platform
-
     spans = sum(1 for e in recorder.events if e["type"] == "span")
     logs = sum(1 for e in recorder.events if e["type"] == "log")
     return {
@@ -209,10 +200,9 @@ def build_manifest(
         ),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-        "machine": _machine(),
+        "machine": machine_fingerprint(),
         "git_describe": _git_describe(),
         "source_digest": source_digest(),
-        "tuning": _tuning_provenance(),
         "fault_plan": _fault_plan(),
         "annotations": dict(sorted(recorder.annotations.items())),
         "events": len(recorder.events),

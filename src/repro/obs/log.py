@@ -1,8 +1,8 @@
 """Structured logging: leveled stderr rendering plus event capture.
 
 Replaces the ad-hoc ``print(..., file=sys.stderr)`` notices scattered
-through the CLI and the slow paths (calibration runs, tuning auto-runs,
-engine fallbacks).  Two outputs, independently switched:
+through the CLI and the slow paths (calibration runs, engine
+fallbacks).  Two outputs, independently switched:
 
 * **stderr rendering** -- the message string, verbatim, exactly as the
   old prints rendered it, filtered by level.  The threshold comes from

@@ -506,12 +506,9 @@ class SimulationEngine:
         ``None`` disables memoization.
     grid_batch_blocks:
         Blocks per interpreter slab (and per worker chunk), passed to
-        the :class:`FunctionalSimulator` kwarg of the same name -- the
-        only way to set the width explicitly.  ``None`` defers to
-        :func:`repro.tune.resolve` per launch:
-        ``$REPRO_TUNE_GRID_BATCH_BLOCKS``, then the machine's persisted
-        tuning profile keyed by the launch's warps-per-block, then the
-        built-in default.
+        the :class:`FunctionalSimulator` kwarg of the same name, which
+        clamps it to at least 1; ``None`` means the simulator's
+        default of 32.
     task_timeout:
         Per-task watchdog budget (seconds) for pooled simulation tasks;
         a hung worker is killed after this long and its task re-executed
@@ -854,7 +851,7 @@ class SimulationEngine:
         """
         if self.workers <= 1 or len(blocks) <= 1:
             return self.simulator.run_blocks(launch, blocks, evidence)
-        step = max(1, int(self.simulator.grid_batch_blocks_for(launch)))
+        step = self.simulator.grid_batch_blocks
         tasks = [
             (chunk, {b: evidence[b] for b in chunk if b in evidence})
             for chunk in (
@@ -966,5 +963,5 @@ class SimulationEngine:
         h.update(f"workers={self.workers if self.workers > 1 else 0}".encode())
         # Slab width likewise shapes cross-block visibility for racy
         # kernels (blocks sharing a slab interleave lockstep).
-        h.update(f"gbb={self.simulator.grid_batch_blocks_for(launch)};".encode())
+        h.update(f"gbb={self.simulator.grid_batch_blocks};".encode())
         return h.hexdigest()

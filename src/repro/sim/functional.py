@@ -68,7 +68,6 @@ from repro.memory.coalescing import (
     coalesce_warp_multi,
 )
 from repro.sim.memory import GlobalMemory, SharedMemory
-from repro.tune import resolve as tune_resolve
 from repro.sim.trace import (
     EV_ARITH,
     EV_ARITH_SHARED,
@@ -86,6 +85,11 @@ from repro.sim.trace import (
 # Instructions that count as "actual computation" for the paper's
 # computational-density metric.  Integer MADs are address bookkeeping.
 _MAD_OPS = (Opcode.FMAD, Opcode.DFMA)
+
+#: Blocks per interpreter slab when the ``grid_batch_blocks`` kwarg is
+#: not given.  A schedule choice only: traces are bit-identical at any
+#: width.
+DEFAULT_GRID_BATCH_BLOCKS = 32
 
 
 @dataclass(frozen=True)
@@ -529,13 +533,9 @@ class FunctionalSimulator:
         oracle for differential testing; both produce bit-identical
         :class:`BlockTrace` results for barrier-synchronized kernels.
     grid_batch_blocks:
-        Blocks per slab in :meth:`run_blocks` -- the only way to set
-        the width explicitly.  ``None`` (default) resolves through
-        :func:`repro.tune.resolve` *per launch* (see
-        :meth:`grid_batch_blocks_for`): ``$REPRO_TUNE_GRID_BATCH_BLOCKS``,
-        then the machine's persisted tuning profile (``repro tune
-        run``) keyed by the launch's warps-per-block, then the built-in
-        default.
+        Blocks per slab in :meth:`run_blocks`, clamped to at least 1;
+        ``None`` (default) means :data:`DEFAULT_GRID_BATCH_BLOCKS`.
+        Kept as the :attr:`grid_batch_blocks` attribute.
     """
 
     def __init__(
@@ -553,7 +553,11 @@ class FunctionalSimulator:
         self.spec = spec
         self.max_warp_instructions = max_warp_instructions
         self.batched = batched
-        self._grid_batch_kwarg = grid_batch_blocks
+        self.grid_batch_blocks = (
+            DEFAULT_GRID_BATCH_BLOCKS
+            if grid_batch_blocks is None
+            else max(1, int(grid_batch_blocks))
+        )
         self._decoded = [
             _Decoded(instr, kernel.labels) for instr in kernel.instructions
         ]
@@ -568,23 +572,6 @@ class FunctionalSimulator:
         self._txn_configs: dict[int, TransactionConfig] = {}
         for granularity in (4, 8, 16, 32, 64, 128):
             self._txn_config(granularity)
-
-    def grid_batch_blocks_for(self, launch: LaunchConfig) -> int:
-        """Slab width for one launch, resolved at ``run_blocks`` time.
-
-        The tuning profile stores the measured best width *per
-        warps-per-block* (wide blocks saturate the batch earlier), so
-        the width is a property of the launch, not of the simulator:
-        one simulator instance serves differently-shaped launches with
-        each launch's own tuned width.  An explicit ``grid_batch_blocks``
-        kwarg and the environment still override.
-        """
-        return tune_resolve(
-            "grid_batch_blocks",
-            kwarg=self._grid_batch_kwarg,
-            spec=self.spec,
-            warps_per_block=launch.warps_per_block,
-        )
 
     def _txn_config(self, granularity: int) -> TransactionConfig:
         """Memoized coalescing config for one granularity.
@@ -635,7 +622,7 @@ class FunctionalSimulator:
         """Simulate many blocks, in order.
 
         With the batched interpreter, blocks are executed in slabs of
-        :meth:`grid_batch_blocks_for` blocks (the last slab may be
+        :attr:`grid_batch_blocks` blocks (the last slab may be
         narrower, down to one block) -- every block's warps ride the
         same PC-grouped NumPy dispatches (see :class:`_GridRun`) --
         which is what makes full-grid traces of both data-dependent
@@ -655,7 +642,7 @@ class FunctionalSimulator:
         if not self.batched:
             return [self.run_block(launch, block) for block in blocks]
         traces: list[BlockTrace] = []
-        step = max(1, int(self.grid_batch_blocks_for(launch)))
+        step = self.grid_batch_blocks
         with obs.span(
             "functional.run_blocks", blocks=len(blocks), slab=step
         ):

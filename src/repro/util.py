@@ -27,9 +27,8 @@ def default_cache_dir() -> str:
     """Cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
 
     Lives here, dependency-free, because every on-disk store keys off
-    it: calibration tables (micro), trace/measured memo caches, and the
-    tuning profiles (:mod:`repro.tune`) -- the last of which is read by
-    modules (``sim``, ``hw``) that must not import :mod:`repro.micro`.
+    it: calibration tables (micro) and the trace/measured memo caches
+    (``sim``, ``hw``), which must not import :mod:`repro.micro`.
     """
     override = os.environ.get(CACHE_DIR_ENV)
     if override:
@@ -59,7 +58,7 @@ def source_digest() -> str:
     of the installed :mod:`repro` package.
 
     The version of every on-disk cache (traces, measured runs,
-    calibration tables, tuning profiles): any source change -- a
+    calibration tables): any source change -- a
     revision of the timing simulator's reality included -- invalidates
     them all, so no hand-bumped constant can be forgotten.  Imports
     nothing; computed on first use and memoized per process.
@@ -126,8 +125,8 @@ class VersionedPickleCache:
     One implementation of the rules every cache directory follows --
     dict payloads versioned by :func:`source_digest`, fail-open loads
     that refresh mtime for LRU ordering, atomic stores followed by
-    :func:`evict_lru`, quarantine of corrupt entries -- so the trace,
-    measured-run and tuning-profile caches cannot drift apart.
+    :func:`evict_lru`, quarantine of corrupt entries -- so the trace
+    and measured-run caches cannot drift apart.
     Subclasses pass their file suffix and type-check the loaded value.
 
     Degradation counters (read by the health telemetry): ``quarantines``

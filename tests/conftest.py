@@ -7,26 +7,10 @@ import pytest
 from repro.hw import HardwareGpu
 from repro.micro import calibrate
 from repro.model import PerformanceModel
-from repro.tune import TUNE_AUTO_ENV, TUNE_DIR_ENV
 
 #: Reduced warp grid keeps session calibration fast while covering the
 #: knee and the saturated region of every curve.
 TEST_WARP_COUNTS = (1, 2, 4, 6, 8, 12, 16, 24, 32)
-
-
-@pytest.fixture(autouse=True)
-def _isolated_tuning_profiles(monkeypatch, tmp_path):
-    """Point profile resolution at an empty per-test directory.
-
-    Simulator and timing-layer constructions resolve their knobs
-    through :mod:`repro.tune`; a developer's persisted machine profile
-    (``repro tune run``) must not leak into assertions about the
-    built-in defaults.  Tune tests monkeypatch over this freely.
-    First-use auto-tuning is likewise disabled: a test must never
-    trigger a measurement run.
-    """
-    monkeypatch.setenv(TUNE_DIR_ENV, str(tmp_path / "tune-profiles"))
-    monkeypatch.setenv(TUNE_AUTO_ENV, "0")
 
 
 @pytest.fixture(scope="session")

@@ -222,3 +222,53 @@ class TestMemberOrderDeterminism:
         backward = BlockClass(list(reversed(members)))
         assert forward.members == backward.members
         assert forward.representative == backward.representative
+
+
+class TestContainment:
+    """Every shifted access must stay in the anchor's allocation; the
+    refusal names the first lane that leaves it."""
+
+    MEMBERS = [(x, 0) for x in range(4)]
+
+    def _prove(self, words, block_stride):
+        gmem = GlobalMemory()
+        gmem.alloc(8, "before")
+        out = gmem.alloc(words, "out")
+        gmem.alloc(8, "after")
+        b = KernelBuilder("store", params=("out",))
+        v = b.reg()
+        b.mov(v, Imm(1.0))
+        addr = b.reg()
+        b.imad(addr, b.tid, Imm(4), b.param("out"))
+        b.imad(addr, b.ctaid_x, Imm(block_stride), addr)
+        b.stg(addr, v)
+        b.exit()
+        launch = LaunchConfig(grid=(4, 1), block_threads=32, params={"out": out})
+        return prove_block_class(b.build(), launch, self.MEMBERS, gmem), out
+
+    def test_in_bounds_shift_proves(self):
+        result, _ = self._prove(words=32 * 4, block_stride=128)
+        assert result.proved, result.reason
+
+    def test_first_escaping_lane_is_reported(self):
+        # 448 bytes hold lanes 0-15 shifted by up to 3 * 128 bytes.
+        result, out = self._prove(words=112, block_stride=128)
+        assert not result.proved
+        assert result.reason.endswith(
+            f"shifted access range [{out + 64}, {out + 452}) "
+            "escapes allocation 'out'"
+        )
+
+    def test_anchor_address_in_alignment_gap(self):
+        # Five words: lanes 5-31 store into the gap before 'after'.
+        result, out = self._prove(words=5, block_stride=0)
+        assert not result.proved
+        assert result.reason.endswith(
+            f"anchor address {out + 20} is outside every allocation"
+        )
+
+    def test_earlier_escape_wins_over_later_gap(self):
+        result, out = self._prove(words=5, block_stride=128)
+        assert result.reason.endswith(
+            f"shifted access range [{out}, {out + 388}) escapes allocation 'out'"
+        )

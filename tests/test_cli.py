@@ -41,63 +41,6 @@ class TestParser:
         assert not args.full
         assert not args.no_cache
 
-    def test_tune_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["tune"])
-
-    def test_tune_run_flags(self):
-        args = build_parser().parse_args(
-            ["tune", "run", "--repeats", "3", "--workers-counts", "2", "4",
-             "--dry-run"]
-        )
-        assert args.tune_command == "run"
-        assert args.repeats == 3
-        assert args.workers_counts == [2, 4]
-        assert args.dry_run
-
-    def test_tune_show_defaults(self):
-        args = build_parser().parse_args(["tune", "show"])
-        assert args.tune_command == "show"
-        assert args.workers == 0 and args.warps == 0
-
-    def test_tune_trend_flags(self):
-        args = build_parser().parse_args(
-            ["tune", "trend", "a.json", "b.json", "--threshold", "0.3",
-             "--markdown", "out.md", "--github-warnings"]
-        )
-        assert args.tune_command == "trend"
-        assert args.inputs == ["a.json", "b.json"]
-        assert args.threshold == 0.3
-        assert args.markdown == "out.md"
-        assert args.github_warnings and not args.fail_on_regression
-
-
-class TestTuneWiring:
-    def test_tune_run_dry_run_and_show(self, tmp_path, monkeypatch, capsys):
-        # A dry run measures but must not persist; a real run persists
-        # and `show` then reports profile provenance.
-        monkeypatch.setenv("REPRO_TUNE_DIR", str(tmp_path / "tune"))
-        import repro.tune.slab as slab_mod
-        from repro.__main__ import main
-        from repro.tune.slab import _streaming_workload
-
-        monkeypatch.setattr(
-            slab_mod,
-            "default_workloads",
-            lambda: [_streaming_workload(num_blocks=4, block_threads=32)],
-        )
-        assert main(["tune", "run", "--repeats", "1", "--dry-run"]) == 0
-        assert not list((tmp_path / "tune").glob("*.tune.pkl")) if (
-            tmp_path / "tune"
-        ).exists() else True
-
-        assert main(["tune", "run", "--repeats", "1"]) == 0
-        assert list((tmp_path / "tune").glob("*.tune.pkl"))
-
-        assert main(["tune", "show", "--workers", "2", "--warps", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "(from profile)" in out
-
 
 def _tiny_sweep(gpu=None, **_kwargs):
     # Shrink the sweep: these tests exercise wiring, not curves.

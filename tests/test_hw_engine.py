@@ -195,6 +195,11 @@ class TestParallelTiming:
         gpu.min_parallel_events = 0
         assert gpu._effective_workers(jobs) == 4
 
+    def test_event_floor_default_and_clamp(self):
+        assert HardwareGpu().min_parallel_events == 50_000
+        assert HardwareGpu(min_parallel_events=-5).min_parallel_events == 0
+        assert HardwareGpu(min_parallel_events=7).min_parallel_events == 7
+
 
 class TestMeasuredRunCache:
     def test_second_measure_hits_the_cache(self, tmp_path):

@@ -398,7 +398,6 @@ class TestExportAndReport:
 
         assert manifest["source_digest"] == source_digest()
         assert manifest["annotations"] == {"spec.gtx285": "fingerprint"}
-        assert manifest["tuning"]["grid_batch_blocks"]["source"]
 
     def test_report_round_trip(self, tmp_path):
         export.export_session(

@@ -2,7 +2,7 @@
 barrier-synchronized kernels batch whole grids, blocks advance their
 stages independently within one slab, and the divergence/budget
 errors still fire per block.  Also covers the ``grid_batch_blocks``
-override (env var and the simulator/engine kwarg)."""
+kwarg of the simulator and the engine."""
 
 import pickle
 
@@ -12,9 +12,6 @@ from repro.errors import DivergenceError
 from repro.isa import Imm, KernelBuilder
 from repro.sim import FunctionalSimulator, GlobalMemory, LaunchConfig
 from repro.sim.engine import SimulationEngine
-
-GRID_BATCH_BLOCKS_ENV = "REPRO_TUNE_GRID_BATCH_BLOCKS"
-
 
 def assert_grid_batch_identical(kernel, launch, gmem_factory, blocks=None):
     """Grid-batched traces must match per-warp oracle pickled bytes."""
@@ -207,11 +204,7 @@ class TestBarrierGridBatching:
 
 
 class TestGridBatchBlocksOverride:
-    """Satellite: the slab width resolves through repro.tune (kwarg >
-    env > profile > built-in default; see test_tune_resolve for the
-    full precedence matrix)."""
-
-    LAUNCH = LaunchConfig(grid=(1, 1), block_threads=32)
+    """The slab width is the kwarg, clamped to at least 1, or 32."""
 
     def _kernel(self):
         b = KernelBuilder("k")
@@ -221,39 +214,16 @@ class TestGridBatchBlocksOverride:
         return b.build()
 
     def test_default_resolves_to_builtin(self):
-        from repro.tune import BUILTIN_DEFAULTS
-
-        width = FunctionalSimulator(self._kernel()).grid_batch_blocks_for(
-            self.LAUNCH
-        )
-        assert width == BUILTIN_DEFAULTS["grid_batch_blocks"]
-        assert width == 32
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(GRID_BATCH_BLOCKS_ENV, "7")
-        sim = FunctionalSimulator(self._kernel())
-        assert sim.grid_batch_blocks_for(self.LAUNCH) == 7
-
-    def test_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(GRID_BATCH_BLOCKS_ENV, "7")
-        sim = FunctionalSimulator(self._kernel(), grid_batch_blocks=4)
-        assert sim.grid_batch_blocks_for(self.LAUNCH) == 4
-
-    def test_invalid_env_fails_open(self, monkeypatch):
-        monkeypatch.setenv(GRID_BATCH_BLOCKS_ENV, "not-a-number")
-        # Resolution happens per launch (at run time), not at
-        # construction, so the warning fires on the per-launch read.
-        sim = FunctionalSimulator(self._kernel())
-        with pytest.warns(RuntimeWarning):
-            assert sim.grid_batch_blocks_for(self.LAUNCH) == 32
+        assert FunctionalSimulator(self._kernel()).grid_batch_blocks == 32
+        assert SimulationEngine(self._kernel()).simulator.grid_batch_blocks == 32
 
     def test_floor_of_one(self):
         sim = FunctionalSimulator(self._kernel(), grid_batch_blocks=0)
-        assert sim.grid_batch_blocks_for(self.LAUNCH) == 1
+        assert sim.grid_batch_blocks == 1
 
     def test_engine_kwarg_reaches_simulator(self):
         engine = SimulationEngine(self._kernel(), grid_batch_blocks=3)
-        assert engine.simulator.grid_batch_blocks_for(self.LAUNCH) == 3
+        assert engine.simulator.grid_batch_blocks == 3
 
     def test_slab_width_changes_engine_cache_key(self):
         launch = LaunchConfig(grid=(1, 1), block_threads=32)
@@ -279,68 +249,3 @@ class TestGridBatchBlocksOverride:
         got = narrow.run_blocks(launch, blocks)
         for expected, actual in zip(reference, got):
             assert pickle.dumps(expected) == pickle.dumps(actual)
-
-
-class TestPerLaunchSlabResolution:
-    """Slab width resolves at run time from the launch's warps-per-block."""
-
-    def _kernel(self):
-        b = KernelBuilder("k")
-        r = b.reg()
-        b.mov(r, Imm(1.0))
-        b.exit()
-        return b.build()
-
-    def _save_by_warps_profile(self, by_warps, default):
-        from repro.arch.specs import GTX285
-        from repro.tune import new_profile, save_profile
-        from repro.util import spec_fingerprint
-
-        profile = new_profile(
-            spec_fp=spec_fingerprint(GTX285),
-            min_parallel_events={},
-            grid_batch_blocks=by_warps,
-            default_grid_batch_blocks=default,
-        )
-        save_profile(profile)
-
-    def test_profile_width_follows_the_launch_shape(self):
-        self._save_by_warps_profile({1: 5, 4: 9}, default=7)
-        sim = FunctionalSimulator(self._kernel())
-        narrow = LaunchConfig(grid=(1, 1), block_threads=32)
-        wide = LaunchConfig(grid=(1, 1), block_threads=128)
-        unknown = LaunchConfig(grid=(1, 1), block_threads=64)
-        assert sim.grid_batch_blocks_for(narrow) == 5
-        assert sim.grid_batch_blocks_for(wide) == 9
-        assert sim.grid_batch_blocks_for(unknown) == 7
-
-    def test_one_simulator_serves_differently_shaped_launches(self):
-        # The regression the refactor fixes: construction froze the
-        # width, so the second launch inherited the first's shape.
-        self._save_by_warps_profile({1: 5, 4: 9}, default=7)
-        sim = FunctionalSimulator(self._kernel())
-        assert sim.grid_batch_blocks_for(
-            LaunchConfig(grid=(1, 1), block_threads=128)
-        ) == 9
-        assert sim.grid_batch_blocks_for(
-            LaunchConfig(grid=(1, 1), block_threads=32)
-        ) == 5
-
-    def test_kwarg_still_overrides(self):
-        self._save_by_warps_profile({1: 5}, default=7)
-        launch = LaunchConfig(grid=(1, 1), block_threads=32)
-        sim = FunctionalSimulator(self._kernel(), grid_batch_blocks=3)
-        assert sim.grid_batch_blocks_for(launch) == 3
-        sim = FunctionalSimulator(self._kernel())
-        assert sim.grid_batch_blocks_for(launch) == 5
-
-    def test_engine_cache_key_uses_per_launch_width(self):
-        self._save_by_warps_profile({1: 5, 4: 9}, default=7)
-        engine = SimulationEngine(self._kernel())
-        narrow = LaunchConfig(grid=(1, 1), block_threads=32)
-        wide = LaunchConfig(grid=(1, 1), block_threads=128)
-        # Same grid, different block shape: the slab width (and hence
-        # cross-block visibility) differs, so the keys must too.
-        assert engine._cache_key(narrow, None, True) != engine._cache_key(
-            wide, None, True
-        )

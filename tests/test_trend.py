@@ -2,17 +2,24 @@
 report must be deterministic, carry per-gate deltas, and flag >20%
 regressions without failing."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.tune.trend import (
-    build_report,
-    collect_files,
-    load_entries,
-    render_markdown,
-    trend_report,
-)
+# The reporter is a standalone script, not part of the package.
+_SCRIPT = Path(__file__).parent.parent / "benchmarks" / "trend.py"
+_spec = importlib.util.spec_from_file_location("trend", _SCRIPT)
+trend = sys.modules["trend"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(trend)
+
+build_report = trend.build_report
+collect_files = trend.collect_files
+load_entries = trend.load_entries
+render_markdown = trend.render_markdown
+trend_report = trend.trend_report
 
 
 def _payload(
@@ -197,14 +204,10 @@ class TestMarkdown:
 
 class TestCli:
     def test_trend_subcommand_end_to_end(self, fixtures_dir, tmp_path, capsys):
-        from repro.__main__ import main
-
         md_path = tmp_path / "report.md"
         json_path = tmp_path / "report.json"
-        code = main(
+        code = trend.main(
             [
-                "tune",
-                "trend",
                 str(fixtures_dir),
                 "--markdown",
                 str(md_path),
@@ -221,18 +224,14 @@ class TestCli:
         assert report["regressions"] == ["engine.speedup"]
 
     def test_fail_on_regression_flag(self, fixtures_dir):
-        from repro.__main__ import main
-
         assert (
-            main(["tune", "trend", str(fixtures_dir), "--fail-on-regression"])
+            trend.main([str(fixtures_dir), "--fail-on-regression"])
             == 1
         )
 
     def test_real_repo_artifact_parses(self):
         # The repository keeps one real artifact at its root; the
         # reporter must ingest the production schema.
-        from pathlib import Path
-
         artifact = Path(__file__).parent.parent / "BENCH_engine_smoke.json"
         report, markdown = trend_report([artifact])
         assert len(report["runs"]) == 1
