@@ -14,15 +14,25 @@ hash jitter (which is what smooths the throughput curves near their
 saturation knee, as on real silicon).
 
 Events are scheduled through one heap ordered by ``(time, seq)``, where
-``seq`` counts pushes.  A warp that waits on a busy issue port or pipe
-is re-checked once per competing issue, so crowded SMs would cost many
-pops per issued event.  Warps blocked at the same time therefore share
-one heap entry, a *convoy*, processed in order.  This keeps the
-one-warp-per-pop order exactly: pushes with equal times and no push
-between them are adjacent in ``(time, seq)`` order.  A convoy member
-whose resource selector (SM, pipe, shared-operand collector) equals
-that of a check that failed at the same time, with no issue since,
-reads the same state; it is re-queued with that check's result without
+``seq`` counts pushes.  The loop reproduces, exactly, a *two-step* loop
+that pushed a warp at ``issue + gap`` after each issue and, if its next
+event was not ready when popped there, pushed it again at the ready
+time.  That ready time is known at the issue, so the warp is pushed
+there directly and a pop checks only resources.  Its place among
+entries at that time stays the two-step one unless some entry lands on
+exactly that time before the warp's re-push moment ``(issue + gap,
+seq)``; the loop marks each deferred warp by its ready time and, on
+such a push, turns the warp's entry back into the two-step push.
+
+A warp that waits on a busy issue port or pipe is re-checked once per
+competing issue, so crowded SMs would cost many pops per issued event.
+Warps blocked at the same time therefore share one heap entry, a
+*convoy*, processed in order; a blocked warp joins the convoy queued at
+its time while no other entry has been pushed at that time since.
+That keeps the one-warp-per-pop order exactly.  A convoy member whose
+resource selector (SM, pipe, shared-operand collector) equals that of a
+check that failed at the same time, with no issue since, reads the
+same state; it is re-queued with that check's result without
 evaluating it again.
 
 Several jobs with the same ``resident_per_sm`` can run as one *group*
@@ -44,12 +54,7 @@ from dataclasses import dataclass
 
 from repro.arch.specs import GpuSpec, GTX285
 from repro.errors import HardwareModelError
-from repro.hw.config import (
-    HwConfig,
-    cluster_bytes_per_cycle,
-    deterministic_jitter,
-    issue_intervals,
-)
+from repro.hw.config import HwConfig, cluster_bytes_per_cycle, issue_intervals
 from repro.hw.texcache import TextureCache
 from repro.sim.trace import (
     EV_ARITH,
@@ -62,6 +67,9 @@ from repro.sim.trace import (
 
 #: A block of work: one event stream per warp.
 BlockWork = list  # list[list[Event]]
+
+#: Events per warp stream: jitter keys hold the event index in 20 bits.
+MAX_EVENTS = 1 << 20
 
 
 def simulate_cluster(
@@ -102,6 +110,7 @@ class _Warp:
         "last_arith",
         "last_shared",
         "sel",
+        "jitter",
     )
 
     def __init__(self, stream, block, sm: int, gwid: int) -> None:
@@ -120,6 +129,11 @@ class _Warp:
         # Selector (SM, pipe, collector) of the resource check the
         # current event last failed; valid while the warp is in a convoy.
         self.sel = -1
+        # deterministic_jitter's first hash step for key (gwid << 20) ^
+        # idx is (key * 2654435761 + 0x9E3779B9) mod 2**32.  Below
+        # MAX_EVENTS the key is (gwid << 20) + idx, so the step is
+        # (jitter + idx * 2654435761) mod 2**32.
+        self.jitter = ((gwid << 20) * 2654435761 + 0x9E3779B9) & 0xFFFFFFFF
 
     def copy(self, block: "_Block") -> "_Warp":
         new = _Warp(self.stream, block, self.sm, self.gwid)
@@ -201,6 +215,7 @@ class _State:
         "sms",
         "cache",
         "heap",
+        "marks",
         "seq",
         "gwid",
         "dram_free",
@@ -208,6 +223,7 @@ class _State:
         "end_time",
         "events",
         "t",
+        "ts",
         "convoy",
         "convoy_pos",
         "conv",
@@ -215,6 +231,7 @@ class _State:
         "conv_seq",
         "fail_sel",
         "fail_key",
+        "fail_t",
         "filled",
         "pending",
         "base",
@@ -229,11 +246,13 @@ class _State:
         "end_time",
         "events",
         "t",
+        "ts",
         "convoy_pos",
         "conv_t",
         "conv_seq",
         "fail_sel",
         "fail_key",
+        "fail_t",
         "filled",
         "pending",
     )
@@ -241,28 +260,36 @@ class _State:
     def __init__(self, sms: list[_Sm], cache: TextureCache | None) -> None:
         self.sms = sms
         self.cache = cache
-        # Entries are (time, seq, item): item is a warp, or a convoy --
-        # a list of warps blocked on resources, processed in order.
+        # Entries are (time, seq, item): item is a warp, a convoy -- a
+        # list of warps blocked on resources, processed in order -- or
+        # (warp, ready time), a warp's two-step re-push moment.
         self.heap: list[tuple] = []
+        # Marks by heap time: a warp pushed at its ready time, as
+        # (re-push moment's time, seq, warp), or a convoy that blocked
+        # warps may still join.  Every mark refers to a queued entry.
+        self.marks: dict[float, tuple | list[_Warp]] = {}
         self.seq = 0
         self.gwid = 0
         self.dram_free = 0.0
         self.dram_busy = 0.0
         self.end_time = 0.0
         self.events = 0
+        # Key of the heap entry being processed.
         self.t = 0.0
+        self.ts = -1
         # The convoy being processed and the position of its next member.
         self.convoy: list[_Warp] | None = None
         self.convoy_pos = 0
-        # The newest convoy, which a blocked warp may join while no push
-        # has happened since (seq == conv_seq) and its time is equal.
+        # The newest convoy joined or queued, which is still open while
+        # no push has happened since (seq == conv_seq).
         self.conv: list[_Warp] = []
         self.conv_t = 0.0
         self.conv_seq = -1
-        # The last resource check that failed in the convoy being
-        # processed: its selector and issue time.
+        # The last resource check that failed with no issue since: its
+        # selector, issue time and the time it was made at.
         self.fail_sel = -1
         self.fail_key = 0.0
+        self.fail_t = 0.0
         # Whether every SM has received its initial blocks.
         self.filled = False
         # (sm, time) of the divergent queue pop the loop stopped at.
@@ -276,10 +303,10 @@ class _State:
         Only live warps are reachable: those queued in the heap and the
         rest of the convoy in progress, plus their blocks' other warps.
         Warps are copied block by block and convoys once each, so
-        aliasing between the heap, the convoy in progress and the newest
-        convoy is kept.  A newest convoy that is neither queued nor in
-        progress is replaced by an empty list: a warp joining it is
-        dropped either way.
+        aliasing between the heap, the marks, the convoy in progress
+        and the newest convoy is kept.  A newest convoy that is neither
+        queued nor in progress is replaced by an empty list: a warp
+        joining it is dropped either way.
         """
         warps: dict[int, _Warp] = {}
         convoys: dict[int, list[_Warp]] = {}
@@ -295,16 +322,26 @@ class _State:
                 new = convoys[id(old)] = [warp(w) for w in old[start:]]
             return new
 
+        def item(old):
+            if old.__class__ is list:
+                return convoy(old)
+            if old.__class__ is tuple:
+                return (warp(old[0]), old[1])
+            return warp(old)
+
         new = _State(
             [sm.copy() for sm in self.sms],
             self.cache.copy() if self.cache is not None else None,
         )
         for name in self.SCALARS:
             setattr(new, name, getattr(self, name))
-        new.heap = [
-            (t, seq, convoy(item) if item.__class__ is list else warp(item))
-            for t, seq, item in self.heap
-        ]
+        new.heap = [(t, seq, item(old)) for t, seq, old in self.heap]
+        new.marks = {
+            at: convoy(mark)
+            if mark.__class__ is list
+            else (mark[0], mark[1], warp(mark[2]))
+            for at, mark in self.marks.items()
+        }
         if self.convoy is not None:
             new.convoy = convoy(self.convoy, self.convoy_pos)
             new.convoy_pos = 0
@@ -465,14 +502,45 @@ class ClusterSimulator:
         sms = state.sms
         cache = state.cache
         heap = state.heap
+        marks = state.marks
         seq = state.seq
         gwid = state.gwid
+        # Key of the heap entry being processed: the moment of the
+        # pushes made now.
+        t = state.t
+        ts = state.ts
+
+        def settle(at: float) -> None:
+            """Clear the mark at time ``at`` before a push there.
+
+            A convoy open at ``at`` closes: a warp joining it would pass
+            the entry pushed now.  A warp deferred to ``at`` whose
+            re-push moment has not passed would pass it too: its entry
+            becomes its two-step re-push moment.
+            """
+            mark = marks.pop(at)
+            if mark.__class__ is list:
+                return
+            vt, vs, warp = mark
+            if (vt, vs) > (t, ts):
+                for i, entry in enumerate(heap):
+                    if entry[1] == vs:
+                        heap[i] = (vt, vs, (warp, at))
+                        break
+                heapq.heapify(heap)
 
         def launch_block(sm_index: int, work: BlockWork, at: float) -> None:
             nonlocal seq, gwid
             block = _Block(sm_index)
             start = at + cfg.block_launch_overhead
+            if start in marks:
+                settle(start)
             for stream in work:
+                if len(stream) > MAX_EVENTS:
+                    raise HardwareModelError(
+                        f"warp stream of {len(stream)} events; at most "
+                        f"{MAX_EVENTS} fit the jitter key"
+                    )
                 warp = _Warp(stream, block, sm_index, gwid)
                 gwid += 1
                 block.warps.append(warp)
@@ -513,6 +581,8 @@ class ClusterSimulator:
             nonlocal seq
             release = max(block.arrivals) + cfg.barrier_latency
             block.arrivals = []
+            if release in marks:
+                settle(release)
             for warp in block.warps:
                 if warp.waiting:
                     warp.waiting = False
@@ -539,30 +609,33 @@ class ClusterSimulator:
         shared_latency = cfg.shared_latency
         global_latency = cfg.global_latency
         texcache_hit_latency = cfg.texcache_hit_latency
-        arith_jitter = cfg.arith_jitter
-        shared_jitter = cfg.shared_jitter
-        global_jitter = cfg.global_jitter
-        jitter = deterministic_jitter
+        # deterministic_jitter(key, amp) is (16-bit hash) / 65536 * amp,
+        # or 0 for amp <= 0; dividing amp by a power of two is exact, so
+        # hash * scale rounds to the same double.
+        arith_scale = max(cfg.arith_jitter, 0.0) / 65536.0
+        shared_scale = max(cfg.shared_jitter, 0.0) / 65536.0
+        global_scale = max(cfg.global_jitter, 0.0) / 65536.0
         dram_rate = self.dram_rate
         heappush = heapq.heappush
         heappop = heapq.heappop
+        warp_class = _Warp
         dram_free = state.dram_free
         dram_busy = state.dram_busy
         end_time = state.end_time
         events_processed = state.events
-        t = state.t
-        conv = state.conv
-        conv_t = state.conv_t
-        conv_seq = state.conv_seq
         # The convoy being processed, and the last resource check that
-        # failed in it: its selector and issue time.  Only an issue
-        # changes the SM state such a check reads.
+        # failed with no issue since.  Only an issue changes the SM
+        # state such a check reads, so at the same t it fails again.
         convoy = None
         if state.convoy is not None:
             convoy = iter(state.convoy)
             convoy.__setstate__(state.convoy_pos)
+        conv = state.conv
+        conv_t = state.conv_t
+        conv_seq = state.conv_seq
         fail_sel = state.fail_sel
         fail_key = state.fail_key
+        fail_t = state.fail_t
 
         try:
             if state.pending is not None:
@@ -584,58 +657,53 @@ class ClusterSimulator:
                         convoy = None
                         continue
                     if warp.sel == fail_sel:
-                        # Same selector at the same t with no issue
-                        # since: the check would fail again with the
-                        # same key.
-                        if fail_key == conv_t and seq == conv_seq:
-                            conv.append(warp)
-                        else:
-                            conv = [warp]
-                            heappush(heap, (fail_key, seq, conv))
-                            seq += 1
+                        # The member's check would fail again with the
+                        # same key: re-queue it unchecked, and the run of
+                        # members with its selector behind it.
+                        if fail_key != conv_t or seq != conv_seq:
+                            conv = marks.get(fail_key)
+                            if conv.__class__ is not list:
+                                if conv is not None:
+                                    settle(fail_key)
+                                marks[fail_key] = conv = []
+                                heappush(heap, (fail_key, seq, conv))
+                                seq += 1
                             conv_t = fail_key
                             conv_seq = seq
-                        continue
+                        conv.append(warp)
+                        for warp in convoy:
+                            if warp.sel != fail_sel:
+                                break
+                            conv.append(warp)
+                        else:
+                            convoy = None
+                            continue
                 elif heap:
-                    t, _, warp = heappop(heap)
-                    if warp.__class__ is list:
-                        convoy = iter(warp)
-                        fail_sel = -1
+                    t, ts, warp = heappop(heap)
+                    if t in marks:
+                        # Nothing joins or passes an entry at t any more.
+                        del marks[t]
+                    if warp.__class__ is not warp_class:
+                        if warp.__class__ is list:
+                            convoy = iter(warp)
+                            if fail_t != t:
+                                fail_sel = -1
+                            continue
+                        # A warp's two-step re-push moment.
+                        warp, ready = warp
+                        if ready in marks:
+                            settle(ready)
+                        heappush(heap, (ready, seq, warp))
+                        seq += 1
                         continue
                 else:
                     break
+                # Every push is at a time the warp is ready: see the
+                # push after an issue below.
                 idx = warp.idx
                 stream = warp.stream
                 event = stream[idx]
                 kind = event[0]
-                dep = event[1]
-
-                ready = t
-                completions = warp.completions
-                if dep > 0 and dep <= idx:
-                    dep_time = completions[idx - dep]
-                    if dep_time > ready:
-                        ready = dep_time
-                if idx >= window:
-                    window_time = completions[idx - window]
-                    if window_time > ready:
-                        ready = window_time
-                if (
-                    arith_in_order
-                    and (kind == EV_ARITH or kind == EV_ARITH_SHARED)
-                    and warp.last_arith > ready
-                ):
-                    ready = warp.last_arith
-                if (
-                    shared_in_order
-                    and (kind == EV_SHARED or kind == EV_ARITH_SHARED)
-                    and warp.last_shared > ready
-                ):
-                    ready = warp.last_shared
-                if ready > t + 1e-9:
-                    heappush(heap, (ready, seq, warp))
-                    seq += 1
-                    continue
 
                 if kind == EV_BAR:
                     block = warp.block
@@ -647,68 +715,66 @@ class ClusterSimulator:
                     continue
 
                 sm = sms[warp.sm]
-                issue = t if t > sm.issue_free else sm.issue_free
+                issue = sm.issue_free
+                if t > issue:
+                    issue = t
+                # The check's selector: pipe index << 1, plus 1 when the
+                # shared-operand collector is involved.
                 if kind == EV_ARITH or kind == EV_ARITH_SHARED:
-                    pipe_free = sm.pipe_free[event[2]]
+                    type_index = event[2]
+                    pipe_free = sm.pipe_free[type_index]
+                    sel = type_index << 1
                     if kind == EV_ARITH_SHARED and event[3]:
                         # The operand collector cannot accept the shared
                         # operand while the shared pipe is backlogged.
                         if sm.shared_free > pipe_free:
                             pipe_free = sm.shared_free
+                        sel |= 1
                 else:
                     # Memory instructions generate addresses on the SPs,
                     # so they occupy the type II pipe like any other
                     # instruction.
                     pipe_free = sm.pipe_free[1]
+                    sel = 2
                 if pipe_free > issue:
                     issue = pipe_free
                 if issue > t + slack:
-                    if kind == EV_ARITH or kind == EV_ARITH_SHARED:
-                        sel = warp.sm << 3 | event[2] << 1
-                        if kind == EV_ARITH_SHARED and event[3]:
-                            sel |= 1
-                    else:
-                        sel = warp.sm << 3 | 2
+                    sel |= warp.sm << 3
                     warp.sel = fail_sel = sel
                     fail_key = issue
+                    fail_t = t
                     if issue == conv_t and seq == conv_seq:
                         conv.append(warp)
+                        continue
+                    conv = marks.get(issue)
+                    if conv.__class__ is list:
+                        conv.append(warp)
                     else:
-                        conv = [warp]
+                        if conv is not None:
+                            settle(issue)
+                        marks[issue] = conv = [warp]
                         heappush(heap, (issue, seq, conv))
                         seq += 1
-                        conv_t = issue
-                        conv_seq = seq
+                    conv_t = issue
+                    conv_seq = seq
                     continue
 
                 events_processed += 1
                 fail_sel = -1
                 sm.issue_free = issue + issue_gap
-                jkey = (warp.gwid << 20) ^ idx
                 next_gap = issue_gap
+                completions = warp.completions
 
-                if kind == EV_ARITH:
-                    type_index = event[2]
+                if kind == EV_ARITH or kind == EV_ARITH_SHARED:
                     interval = intervals[type_index]
                     sm.pipe_free[type_index] = issue + interval
+                    h = (warp.jitter + idx * 2654435761) & 0xFFFFFFFF
+                    h = ((h ^ (h >> 16)) * 2246822519) & 0xFFFF
                     comp = (
-                        issue
-                        + interval
-                        + latencies[type_index]
-                        + jitter(jkey, arith_jitter)
+                        issue + interval + latencies[type_index] + h * arith_scale
                     )
-                elif kind == EV_ARITH_SHARED:
-                    type_index = event[2]
-                    ntrans = event[3]
-                    interval = intervals[type_index]
-                    sm.pipe_free[type_index] = issue + interval
-                    comp = (
-                        issue
-                        + interval
-                        + latencies[type_index]
-                        + jitter(jkey, arith_jitter)
-                    )
-                    if ntrans:
+                    if kind == EV_ARITH_SHARED and event[3]:
+                        ntrans = event[3]
                         # issue already waited for shared_free (see
                         # above), so the shared pipe starts serving at
                         # issue time.
@@ -721,6 +787,9 @@ class ClusterSimulator:
                             stall = replay_stall * extra
                             if stall > next_gap:
                                 next_gap = stall
+                    warp.last_arith = comp
+                    if kind == EV_ARITH_SHARED:
+                        warp.last_shared = comp
                 elif kind == EV_SHARED:
                     ntrans = event[2]
                     sm.pipe_free[1] = issue + intervals[1]
@@ -729,11 +798,9 @@ class ClusterSimulator:
                             issue if issue > sm.shared_free else sm.shared_free
                         )
                         sm.shared_free = start + halfwarp_cycles * ntrans
-                        comp = (
-                            sm.shared_free
-                            + shared_latency
-                            + jitter(jkey, shared_jitter)
-                        )
+                        h = (warp.jitter + idx * 2654435761) & 0xFFFFFFFF
+                        h = ((h ^ (h >> 16)) * 2246822519) & 0xFFFF
+                        comp = sm.shared_free + shared_latency + h * shared_scale
                         extra = ntrans - min(ntrans, 2)
                         if extra:
                             stall = replay_stall * extra
@@ -741,6 +808,7 @@ class ClusterSimulator:
                                 next_gap = stall
                     else:
                         comp = issue + 1.0
+                    warp.last_shared = comp
                 elif kind == EV_GLOBAL_LD or kind == EV_GLOBAL_ST:
                     sm.pipe_free[1] = issue + intervals[1]
                     # Split (uncoalesced) requests replay like bank
@@ -775,11 +843,9 @@ class ClusterSimulator:
                         service = nbytes / dram_rate
                         dram_free = start + service
                         dram_busy += service
-                        comp = (
-                            dram_free
-                            + global_latency
-                            + jitter(jkey, global_jitter)
-                        )
+                        h = (warp.jitter + idx * 2654435761) & 0xFFFFFFFF
+                        h = ((h ^ (h >> 16)) * 2246822519) & 0xFFFF
+                        comp = dram_free + global_latency + h * global_scale
                     else:
                         comp = issue + 1.0
                     if hit_time > comp:
@@ -792,20 +858,64 @@ class ClusterSimulator:
                     raise HardwareModelError(f"unknown event kind {kind}")
 
                 completions.append(comp)
-                if kind == EV_ARITH or kind == EV_ARITH_SHARED:
-                    warp.last_arith = comp
-                if kind == EV_SHARED or kind == EV_ARITH_SHARED:
-                    warp.last_shared = comp
                 if comp > warp.maxcomp:
                     warp.maxcomp = comp
                 if comp > end_time:
                     end_time = comp
-                warp.idx = idx + 1
-                if warp.idx < len(stream):
-                    heappush(heap, (issue + next_gap, seq, warp))
-                    seq += 1
-                else:
+                idx += 1
+                warp.idx = idx
+                if idx == len(stream):
                     warp_finished(warp)
+                    continue
+
+                # The two-step push: the warp is pushed at at = issue +
+                # gap and, if its next event is not ready when that
+                # entry is popped, again at its ready time.  The ready
+                # time is known now: dependence, scoreboard window and
+                # in-order bounds change only when the warp issues.
+                at = issue + next_gap
+                if at in marks:
+                    settle(at)
+                ready = at
+                event = stream[idx]
+                kind = event[0]
+                dep = event[1]
+                if dep > 0 and dep <= idx:
+                    dep_time = completions[idx - dep]
+                    if dep_time > ready:
+                        ready = dep_time
+                if idx >= window:
+                    window_time = completions[idx - window]
+                    if window_time > ready:
+                        ready = window_time
+                if (
+                    arith_in_order
+                    and (kind == EV_ARITH or kind == EV_ARITH_SHARED)
+                    and warp.last_arith > ready
+                ):
+                    ready = warp.last_arith
+                if (
+                    shared_in_order
+                    and (kind == EV_SHARED or kind == EV_ARITH_SHARED)
+                    and warp.last_shared > ready
+                ):
+                    ready = warp.last_shared
+                if ready <= at + 1e-9:
+                    heappush(heap, (at, seq, warp))
+                elif ready not in marks:
+                    # Pushed at ready now, the warp takes its place
+                    # among the entries at ready by seq, as if pushed
+                    # at its re-push moment (at, seq), unless an entry
+                    # lands on ready before that moment: settle() then
+                    # restores the two-step push.
+                    marks[ready] = (at, seq, warp)
+                    heappush(heap, (ready, seq, warp))
+                else:
+                    # A warp already deferred to ready, or a convoy open
+                    # there: keep the two-step push, whose re-push
+                    # settles the order.
+                    heappush(heap, (at, seq, (warp, ready)))
+                seq += 1
             finished = True
         except _Fork as fork:
             state.pending = fork.args
@@ -818,11 +928,13 @@ class ClusterSimulator:
         state.end_time = end_time
         state.events = events_processed
         state.t = t
+        state.ts = ts
         state.conv = conv
         state.conv_t = conv_t
         state.conv_seq = conv_seq
         state.fail_sel = fail_sel
         state.fail_key = fail_key
+        state.fail_t = fail_t
         state.convoy = None
         if convoy is not None:
             # A list iterator reduces to (iter, (list,), position).

@@ -108,6 +108,10 @@ class HwConfig:
             raise HardwareModelError("arith_latency needs four entries")
         if self.texcache_line <= 0 or self.texcache_line & (self.texcache_line - 1):
             raise HardwareModelError("texcache_line must be a power of two")
+        if self.barrier_latency < 0:
+            # The cluster loop pushes released warps at the release
+            # time, which must not precede their own completions.
+            raise HardwareModelError("barrier_latency must be non-negative")
 
 
 def issue_intervals(spec: GpuSpec) -> tuple[float, float, float, float]:
@@ -147,7 +151,11 @@ DEFAULT_HW = HwConfig()
 
 
 def deterministic_jitter(key: int, amplitude: float) -> float:
-    """Hash-based jitter in [0, amplitude): reproducible randomness."""
+    """Hash-based jitter in [0, amplitude): reproducible randomness.
+
+    The reference definition: the cluster event loop inlines this hash
+    (keyed by ``(gwid << 20) ^ idx``) and must match it bit for bit.
+    """
     if amplitude <= 0:
         return 0.0
     h = (key * 2654435761 + 0x9E3779B9) & 0xFFFFFFFF

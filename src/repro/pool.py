@@ -22,6 +22,13 @@ fault-tolerance layer -- failure semantics cannot drift apart:
   through ``serial_fn`` -- the bit-identity reference -- so a degraded
   run returns *exactly* the healthy result.  What degraded is reported
   in a :class:`PoolHealth` record, never swallowed.
+* **workers yield.**  Every worker lowers its own CPU priority
+  (:data:`WORKER_NICENESS`, POSIX only) before the pool's initializer
+  runs.  The process that starts a pool is the one everybody waits
+  on: a cold CLI run simulates its case while the calibration sweep
+  runs on the pool, three CPU-bound processes on two cores, and the
+  lower priority leaves the main process a core of its own.  Results
+  do not depend on it.
 * **one transport.**  Per-pool state (e.g. the engine's pre-launch
   global-memory arena) travels in ``initargs``: fork workers inherit
   it, spawn workers unpickle it once each.
@@ -48,6 +55,9 @@ POOL_TIMEOUT_ENV = "REPRO_POOL_TIMEOUT"
 #: Bounded retries per task through rebuilt pools before the serial
 #: fallback takes over.
 DEFAULT_MAX_RETRIES = 2
+
+#: Niceness increment of every pool worker (see "workers yield").
+WORKER_NICENESS = 10
 
 #: First backoff delay before a pool rebuild; doubles per rebuild,
 #: capped at 1 s (crash loops must not spin the CPU, tests must not
@@ -198,6 +208,18 @@ class _SpanEnvelope:
         self.counters = recorder.counters
         self.gauges = recorder.gauges
         self.histograms = recorder.histograms
+
+
+def _start_worker(initializer, initargs) -> None:
+    """Pool-worker bootstrap: lower the worker's CPU priority (POSIX
+    only), then run the pool's own initializer."""
+    if hasattr(os, "nice"):
+        try:
+            os.nice(WORKER_NICENESS)
+        except OSError:
+            pass
+    if initializer is not None:
+        initializer(*initargs)
 
 
 def _call_task(worker_fn, index, task, attempt, plan, obs_lane=None):
@@ -358,28 +380,38 @@ class _PoolRun:
         )
 
     def submit(self) -> None:
-        """Submit every pending task, building a pool if there is none."""
-        from concurrent.futures import ProcessPoolExecutor
+        """Submit every pending task, building a pool if there is none.
+
+        A worker can die while later tasks are still being submitted;
+        those tasks are then lost with the pool like in-flight ones, and
+        :meth:`collect_round` handles them as a crash.
+        """
+        from concurrent.futures import Future, ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         if self.executor is None:
             self.executor = ProcessPoolExecutor(
                 max_workers=min(self.processes, len(self.pending)),
                 mp_context=self.context,
-                initializer=self.initializer,
-                initargs=self.initargs,
+                initializer=_start_worker,
+                initargs=(self.initializer, self.initargs),
             )
-        self.futures = {
-            i: self.executor.submit(
-                _call_task,
-                self.worker_fn,
-                i,
-                self.tasks[i],
-                self.attempts[i],
-                self.plan,
-                f"{self.lane_prefix}.t{i}" if self.lane_prefix else None,
-            )
-            for i in self.pending
-        }
+        self.futures = {}
+        for i in self.pending:
+            try:
+                future = self.executor.submit(
+                    _call_task,
+                    self.worker_fn,
+                    i,
+                    self.tasks[i],
+                    self.attempts[i],
+                    self.plan,
+                    f"{self.lane_prefix}.t{i}" if self.lane_prefix else None,
+                )
+            except BrokenProcessPool as exc:
+                future = Future()
+                future.set_exception(exc)
+            self.futures[i] = future
 
     def close(self, interrupted: bool) -> None:
         """Kill the pool: the interrupt and abandoned-result path."""
