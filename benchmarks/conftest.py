@@ -5,8 +5,9 @@ figures (see DESIGN.md's experiment index), prints the same rows/series
 the paper reports, and records them under ``benchmarks/results/`` so
 EXPERIMENTS.md can quote concrete numbers.
 
-Calibration is expensive (~40 s), so it is performed once and cached to
-``benchmarks/results/calibration.json`` across benchmark sessions.
+Calibration is expensive (~40 s), so it is performed once and stored in
+``benchmarks/results/`` (one ``calibration-<hash>.json`` per spec,
+timing configuration and sweep) across benchmark sessions.
 """
 
 from __future__ import annotations
@@ -77,11 +78,11 @@ def gpu(results_dir, engine_workers) -> HardwareGpu:
 
 @pytest.fixture(scope="session")
 def tables(gpu, results_dir):
-    # Spec-keyed: editing the modelled architecture invalidates the
-    # cached tables instead of silently reusing stale curves.
+    # Content-keyed: editing the modelled architecture or its timing
+    # configuration selects other tables instead of reusing stale curves.
     return load_or_calibrate(
         gpu,
-        path=results_dir / "calibration.json",
+        cache_dir=results_dir,
         warp_counts=BENCH_WARP_COUNTS,
         iterations=60,
     )

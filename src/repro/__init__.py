@@ -19,7 +19,7 @@ Quickstart::
 
     from repro import GTX285, PerformanceModel, run_matmul
 
-    model = PerformanceModel()            # calibrates microbenchmarks
+    model = PerformanceModel()            # calibrates once, then cached
     run = run_matmul(256, 16, model=model)
     print(run.report.render())
 """
@@ -40,7 +40,7 @@ from repro.apps import (
 from repro.errors import ReproError
 from repro.hw import HardwareGpu, HwConfig
 from repro.isa import Kernel, KernelBuilder
-from repro.micro import CalibrationTables, calibrate, default_tables
+from repro.micro import CalibrationTables, calibrate
 from repro.model import PerformanceModel, PerformanceReport
 from repro.sim import FunctionalSimulator, GlobalMemory, LaunchConfig
 
@@ -64,7 +64,6 @@ __all__ = [
     "ReproError",
     "calibrate",
     "compute_occupancy",
-    "default_tables",
     "qcd_like",
     "run_cr",
     "run_matmul",

@@ -71,15 +71,19 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from repro.errors import CalibrationError
     from repro.hw import HardwareGpu
     from repro.micro import calibrate
+    from repro.micro.calibration import sweep_key
 
     spec = _resolve_spec(args)
     obs_log.info(
         f"running microbenchmarks on {spec.name} ...", spec=spec.name
     )
     tables = calibrate(HardwareGpu(spec=spec), iterations=args.iterations)
-    tables.save(args.output)
+    sweep = sweep_key(tables.instruction.warp_counts, args.iterations)
+    if not tables.save(args.output, sweep):
+        raise CalibrationError(f"could not write {args.output}")
     print(f"calibration saved to {args.output}")
     return 0
 
@@ -107,7 +111,8 @@ def _make_model(args):
     # --workers governs every layer: the functional-simulation engine,
     # the timing simulator's cluster fan-out and the calibration sweep.  --no-cache likewise
     # disables the measured-run memo cache next to the trace cache.
-    # --spec selects the architecture; calibration caches are per-spec.
+    # --spec selects the architecture; calibration tables are stored
+    # per (spec, timing config, sweep).
     spec = _resolve_spec(args)
     measure_cache = None
     if not getattr(args, "no_cache", False):
@@ -126,7 +131,7 @@ def _make_model(args):
         tables = start_calibrate(gpu)
         provenance = "cold"
     else:
-        path = default_calibration_path(spec)
+        path = default_calibration_path(gpu)
         ran = []
 
         def on_calibrate() -> None:
@@ -136,9 +141,7 @@ def _make_model(args):
                 path=str(path),
             )
 
-        tables = start_load_or_calibrate(
-            gpu, path=path, on_calibrate=on_calibrate
-        )
+        tables = start_load_or_calibrate(gpu, on_calibrate=on_calibrate)
         provenance = "cold" if ran else "hit"
     model = PerformanceModel(tables, spec=spec)
     # Stamped for the report's cache-provenance line (apps.common reads

@@ -11,7 +11,6 @@ from repro.micro.cache import (
 from repro.micro.calibration import (
     CalibrationTables,
     calibrate,
-    default_tables,
     start_calibrate,
 )
 from repro.micro.codegen import (
@@ -57,7 +56,6 @@ __all__ = [
     "calibrate",
     "default_cache_dir",
     "default_calibration_path",
-    "default_tables",
     "default_trace_cache_dir",
     "global_stream_benchmark",
     "load_or_calibrate",

@@ -1,38 +1,35 @@
-"""Spec-keyed on-disk caching for calibration tables.
+"""Content-keyed on-disk store for calibration tables.
 
 Calibration (the Fig. 2 microbenchmark sweeps) dominates CLI start-up:
-tens of seconds to answer questions the analytical model then settles in
-microseconds.  The tables only depend on the architecture spec and the
-sweep configuration, so they are cached per spec: the baseline GT200
-keeps its historical ``~/.cache/repro/calibration.json`` path, every
-other spec -- registered generations (:mod:`repro.arch.registry`) and
-ad-hoc what-if specs alike -- gets its own
-``calibration-<name-or-fingerprint>.json`` file, so sweeping the
-registry (``repro specs crossval``) never thrashes one shared file.
-Override the cache root with ``REPRO_CACHE_DIR``; entries are
-invalidated whenever the spec fingerprint, the sweep parameters or the
-package's source (:func:`repro.util.source_digest`) change.
+seconds to answer questions the analytical model then settles in
+microseconds.  The tables depend only on what they were measured on
+and how: the architecture spec, the timing configuration
+(:class:`repro.hw.config.HwConfig`) and the sweep ``[warp_counts,
+iterations]``.  Each such key gets one file,
+``calibration-<hash>.json`` at the cache root (``$REPRO_CACHE_DIR`` or
+``~/.cache/repro``), in the one calibration file format
+(:meth:`~repro.micro.calibration.CalibrationTables.save`).  The
+package's source digest (:func:`repro.util.source_digest`) is checked
+inside the file, so a source edit rewrites the file in place rather
+than adding another.  Reads fail open: any file the validator
+(:meth:`~repro.micro.calibration.CalibrationTables.load`) refuses, or
+that cannot be parsed, means recalibrate.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
 
-from repro.arch.registry import registered_name
-from repro.arch.specs import GTX285, GpuSpec
+from repro.errors import CalibrationError
+from repro.hw.config import config_fingerprint
 from repro.hw.gpu import HardwareGpu
-from repro.micro.calibration import CalibrationTables, start_calibrate
+from repro.micro.calibration import CalibrationTables, start_calibrate, sweep_key
 from repro.micro.instruction import warp_counts_for
 from repro.pool import Pending
-from repro.util import (
-    CACHE_DIR_ENV,
-    atomic_write_bytes,
-    source_digest,
-    spec_fingerprint,
-)
-from repro.util import default_cache_dir as _default_cache_root
+from repro.util import CACHE_DIR_ENV, default_cache_dir, spec_fingerprint
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -41,34 +38,33 @@ __all__ = [
     "default_measure_cache_dir",
     "default_trace_cache_dir",
     "load_or_calibrate",
-    "save_calibration",
     "start_load_or_calibrate",
 ]
 
 
-def default_cache_dir() -> Path:
-    """Cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
+def default_calibration_path(
+    gpu: HardwareGpu | None = None,
+    warp_counts: tuple[int, ...] | None = None,
+    iterations: int = 60,
+    cache_dir: str | os.PathLike | None = None,
+) -> Path:
+    """The store's file for ``gpu``'s spec and timing configuration
+    and the sweep ``[warp_counts, iterations]``.
 
-    The resolution itself lives in :func:`repro.util.default_cache_dir`
-    (shared with the trace and measured-run caches); this wrapper
-    keeps the historical :class:`~pathlib.Path` return type.
+    ``warp_counts=None`` resolves to the spec's sweep grid and
+    ``cache_dir=None`` to the cache root.
     """
-    return Path(_default_cache_root())
-
-
-def default_calibration_path(spec: GpuSpec | None = None) -> Path:
-    """Per-spec calibration cache file.
-
-    The baseline (``None`` or the GT200 spec) keeps the historical
-    ``calibration.json`` name; other specs are keyed by their registry
-    name when registered (``calibration-fermi-like.json``) or by a
-    fingerprint prefix otherwise, so distinct architectures never
-    overwrite each other's tables.
-    """
-    if spec is None or spec_fingerprint(spec) == spec_fingerprint(GTX285):
-        return default_cache_dir() / "calibration.json"
-    stem = registered_name(spec) or spec_fingerprint(spec)[:12]
-    return default_cache_dir() / f"calibration-{stem}.json"
+    gpu = gpu or HardwareGpu()
+    if warp_counts is None:
+        warp_counts = warp_counts_for(gpu.spec)
+    key = [
+        spec_fingerprint(gpu.spec),
+        config_fingerprint(gpu.config),
+        sweep_key(warp_counts, iterations),
+    ]
+    digest = hashlib.sha256(json.dumps(key).encode()).hexdigest()[:16]
+    root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    return root / f"calibration-{digest}.json"
 
 
 def default_trace_cache_dir() -> Path:
@@ -81,69 +77,57 @@ def default_measure_cache_dir() -> Path:
     return default_cache_dir() / "measured"
 
 
-def _sweep_key(warp_counts: tuple[int, ...], iterations: int) -> list:
-    return [list(warp_counts), iterations]
-
-
 def load_or_calibrate(
     gpu: HardwareGpu | None = None,
-    path: str | os.PathLike | None = None,
+    cache_dir: str | os.PathLike | None = None,
     warp_counts: tuple[int, ...] | None = None,
     iterations: int = 60,
-    force: bool = False,
     on_calibrate=None,
 ) -> CalibrationTables:
     """Cached calibration tables:
     ``start_load_or_calibrate(...).collect()``."""
     return start_load_or_calibrate(
         gpu,
-        path=path,
+        cache_dir=cache_dir,
         warp_counts=warp_counts,
         iterations=iterations,
-        force=force,
         on_calibrate=on_calibrate,
     ).collect()
 
 
 def start_load_or_calibrate(
     gpu: HardwareGpu | None = None,
-    path: str | os.PathLike | None = None,
+    cache_dir: str | os.PathLike | None = None,
     warp_counts: tuple[int, ...] | None = None,
     iterations: int = 60,
-    force: bool = False,
     on_calibrate=None,
 ) -> Pending:
-    """Cached calibration tables, or a started calibration that caches
-    them when collected.
+    """Cached calibration tables, or a started calibration that stores
+    them in ``cache_dir`` (default: the cache root) when collected.
 
-    Microbenchmarks re-run only when the cache is missing, malformed,
-    or keyed to a different spec or sweep configuration; the sweep then
-    runs on ``gpu``'s pool until the returned :class:`Pending` is
-    collected (:func:`repro.micro.calibration.start_calibrate`).  The
-    default ``path`` is the per-spec cache file
-    (:func:`default_calibration_path`), and ``warp_counts=None``
-    resolves to the spec's sweep grid, so every registered architecture
-    calibrates and caches independently.  ``on_calibrate`` is invoked
-    (with no args) right before an actual calibration run -- missing
-    *or* invalidated cache -- so callers can surface slow-path
-    progress."""
+    Microbenchmarks re-run only when the store has no valid file for
+    ``gpu`` and the sweep (:func:`default_calibration_path`); the sweep
+    then runs on ``gpu``'s pool until the returned :class:`Pending` is
+    collected (:func:`repro.micro.calibration.start_calibrate`).
+    ``warp_counts=None`` resolves to the spec's sweep grid, so every
+    registered architecture calibrates and caches independently.
+    ``on_calibrate`` is invoked (with no args) right before an actual
+    calibration run -- missing *or* refused file -- so callers can
+    surface slow-path progress."""
+    from repro import obs
+
     gpu = gpu or HardwareGpu()
     if warp_counts is None:
         warp_counts = warp_counts_for(gpu.spec)
-    target = (
-        Path(path) if path is not None else default_calibration_path(gpu.spec)
-    )
-    fingerprint = spec_fingerprint(gpu.spec)
-    sweep = _sweep_key(warp_counts, iterations)
-
-    from repro import obs
-
-    if not force:
-        tables = _try_load(target, gpu, fingerprint, sweep)
-        if tables is not None:
-            obs.metrics.inc("cache.calibration.hits")
-            return Pending.of(tables)
-    obs.metrics.inc("cache.calibration.misses")
+    path = default_calibration_path(gpu, warp_counts, iterations, cache_dir)
+    sweep = sweep_key(warp_counts, iterations)
+    try:
+        tables = CalibrationTables.load(path, gpu=gpu, sweep=sweep)
+    except CalibrationError:
+        obs.metrics.inc("cache.calibration.misses")
+    else:
+        obs.metrics.inc("cache.calibration.hits")
+        return Pending.of(tables)
 
     if on_calibrate is not None:
         on_calibrate()
@@ -157,44 +141,8 @@ def start_load_or_calibrate(
         )
 
     def store(tables: CalibrationTables) -> CalibrationTables:
-        save_calibration(tables, target, fingerprint, sweep)
+        tables.save(path, sweep)
         obs.metrics.inc("cache.calibration.stores")
         return tables
 
     return started.then(store)
-
-
-def save_calibration(
-    tables: CalibrationTables,
-    path: Path,
-    fingerprint: str,
-    sweep: list,
-) -> None:
-    payload = {
-        "version": source_digest(),
-        "spec": fingerprint,
-        "sweep": sweep,
-        "tables": json.loads(tables.to_json()),
-    }
-    atomic_write_bytes(path, json.dumps(payload, indent=2).encode())
-
-
-def _try_load(
-    path: Path, gpu: HardwareGpu, fingerprint: str, sweep: list
-) -> CalibrationTables | None:
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("version") != source_digest():
-        return None
-    if payload.get("spec") != fingerprint or payload.get("sweep") != sweep:
-        return None
-    try:
-        return CalibrationTables.from_json(
-            json.dumps(payload["tables"]), gpu=gpu
-        )
-    except Exception:
-        return None

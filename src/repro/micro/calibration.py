@@ -4,8 +4,10 @@ Running all microbenchmarks once yields the throughput curves of Fig. 2
 and a memoized synthetic-benchmark oracle for global memory.  Like the
 paper's, each Fig. 2 point measures one SM as a function of its resident
 warps (:meth:`repro.hw.gpu.HardwareGpu.measure_uniform_sm`); the
-per-SM rate scales to the whole GPU by ``num_sms``.  Tables can be
-saved/loaded as JSON so benchmark harnesses do not re-calibrate.
+per-SM rate scales to the whole GPU by ``num_sms``.  Tables are saved
+and loaded in one file format (:meth:`CalibrationTables.save`), which
+:mod:`repro.micro.cache` stores by content and ``--calibration``
+names explicitly.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.micro.instruction import (
 )
 from repro.micro.shared import SharedBandwidthTable, shared_points
 from repro.pool import Pending
-from repro.util import source_digest, spec_fingerprint
+from repro.util import atomic_write_bytes, source_digest, spec_fingerprint
 
 
 @dataclass
@@ -83,37 +85,43 @@ class CalibrationTables:
         }
         return json.dumps(payload, indent=2)
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
+    def save(self, path: str | Path, sweep: list) -> bool:
+        """Write the one calibration file format, atomically.
+
+        The file is an envelope ``{version, spec, config, sweep,
+        tables}``: the source digest, the fingerprints of the gpu's
+        spec and timing configuration, the sweep that measured the
+        tables (:func:`sweep_key`), and the :meth:`to_json` payload.
+        Returns whether the write landed
+        (:func:`repro.util.atomic_write_bytes` fails open).
+        """
+        envelope = {
+            "version": source_digest(),
+            "spec": spec_fingerprint(self.gpu.spec),
+            "config": config_fingerprint(self.gpu.config),
+            "sweep": sweep,
+            "tables": json.loads(self.to_json()),
+        }
+        return atomic_write_bytes(
+            path, json.dumps(envelope, indent=2).encode()
+        )
 
     @classmethod
     def from_json(
         cls, text: str, gpu: HardwareGpu | None = None
     ) -> "CalibrationTables":
+        """Tables from a :meth:`to_json` payload (no file header)."""
         try:
             payload = json.loads(text)
-            if isinstance(payload, dict) and "warp_counts" not in payload:
-                # Spec-keyed cache files (repro.micro.cache) wrap the
-                # tables in {version, spec, sweep, tables}; accept them
-                # so --calibration can point at the default cache, but
-                # only when they were written by this source (version
-                # is its source digest) and measured for the spec being
-                # modelled.
-                if payload.get("version") != source_digest():
-                    raise CalibrationError(
-                        "calibration cache file has schema version "
-                        f"{payload.get('version')!r}, expected "
-                        f"{source_digest()}; recalibrate"
-                    )
-                if gpu is not None and payload.get(
-                    "spec"
-                ) != spec_fingerprint(gpu.spec):
-                    raise CalibrationError(
-                        "calibration cache file was measured for a "
-                        "different architecture spec; recalibrate or "
-                        "pass tables saved with `repro calibrate`"
-                    )
-                payload = payload["tables"]
+        except ValueError as exc:
+            raise CalibrationError(f"malformed calibration JSON: {exc}") from exc
+        return cls._from_payload(payload, gpu)
+
+    @classmethod
+    def _from_payload(
+        cls, payload: dict, gpu: HardwareGpu | None
+    ) -> "CalibrationTables":
+        try:
             instruction = InstructionThroughputTable(
                 tuple(payload["warp_counts"]),
                 {k: tuple(v) for k, v in payload["instruction"].items()},
@@ -121,29 +129,77 @@ class CalibrationTables:
             shared = SharedBandwidthTable(
                 tuple(payload["shared_warp_counts"]), tuple(payload["shared"])
             )
-        except (KeyError, TypeError, ValueError) as exc:
+            tables = cls(instruction=instruction, shared=shared, gpu=gpu)
+            for entry in payload.get("global", ()):
+                key = tuple(entry["key"])
+                tables._global_cache[key] = GlobalBenchmarkResult(
+                    num_blocks=key[0],
+                    threads_per_block=key[1],
+                    loads_per_thread=key[2],
+                    seconds=entry["seconds"],
+                    useful_bytes=entry["useful_bytes"],
+                    transactions=entry["transactions"],
+                    transferred_bytes=entry["transferred_bytes"],
+                )
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise CalibrationError(f"malformed calibration JSON: {exc}") from exc
-        tables = cls(instruction=instruction, shared=shared, gpu=gpu)
-        for entry in payload.get("global", ()):
-            key = tuple(entry["key"])
-            tables._global_cache[key] = GlobalBenchmarkResult(
-                num_blocks=key[0],
-                threads_per_block=key[1],
-                loads_per_thread=key[2],
-                seconds=entry["seconds"],
-                useful_bytes=entry["useful_bytes"],
-                transactions=entry["transactions"],
-                transferred_bytes=entry["transferred_bytes"],
-            )
         return tables
 
     @classmethod
-    def load(cls, path: str | Path, gpu: HardwareGpu | None = None):
-        return cls.from_json(Path(path).read_text(), gpu=gpu)
+    def load(
+        cls,
+        path: str | Path,
+        gpu: HardwareGpu | None = None,
+        sweep: list | None = None,
+    ) -> "CalibrationTables":
+        """Tables from a file :meth:`save` wrote, validated.
+
+        Raises :class:`CalibrationError` unless the file has the header
+        and this source's digest as its version, and -- where given --
+        ``gpu``'s spec and timing configuration and ``sweep``.
+        """
+        try:
+            envelope = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            raise CalibrationError(f"unreadable calibration file: {exc}") from exc
+        if not isinstance(envelope, dict) or not _HEADER <= envelope.keys():
+            raise CalibrationError(
+                "calibration file has no {version, spec, config, sweep} "
+                "header; recalibrate with `repro calibrate`"
+            )
+        if envelope["version"] != source_digest():
+            raise CalibrationError(
+                "calibration file has schema version "
+                f"{envelope['version']!r}, expected {source_digest()}; "
+                "recalibrate"
+            )
+        if gpu is not None:
+            if envelope["spec"] != spec_fingerprint(gpu.spec):
+                raise CalibrationError(
+                    "calibration file was measured for a different "
+                    "architecture spec; recalibrate with "
+                    "`repro calibrate --spec`"
+                )
+            if envelope["config"] != config_fingerprint(gpu.config):
+                raise CalibrationError(
+                    "calibration file was measured under a different "
+                    "timing configuration (HwConfig); recalibrate"
+                )
+        if sweep is not None and envelope["sweep"] != sweep:
+            raise CalibrationError(
+                f"calibration file holds the sweep {envelope['sweep']}, "
+                f"expected {sweep}; recalibrate"
+            )
+        return cls._from_payload(envelope["tables"], gpu)
 
 
-#: default_tables' memo, keyed by the content of (spec, timing config).
-_DEFAULT_TABLES: dict[tuple[str, str], CalibrationTables] = {}
+#: Keys every calibration file carries (:meth:`CalibrationTables.save`).
+_HEADER = {"version", "spec", "config", "sweep", "tables"}
+
+
+def sweep_key(warp_counts: tuple[int, ...], iterations: int) -> list:
+    """The sweep a calibration file records: ``[warp_counts, iterations]``."""
+    return [list(warp_counts), iterations]
 
 
 def calibrate(
@@ -203,17 +259,3 @@ def start_calibrate(
 
     return Pending(tables, sweep.close)
 
-
-def default_tables(gpu: HardwareGpu | None = None) -> CalibrationTables:
-    """Process-wide cached calibration of a hardware instance.
-
-    Memoized by the fingerprints of the spec and timing configuration,
-    so every ``HardwareGpu`` of the same architecture shares one table
-    set and a different architecture never gets another's tables.
-    """
-    gpu = gpu or HardwareGpu()
-    key = (spec_fingerprint(gpu.spec), config_fingerprint(gpu.config))
-    tables = _DEFAULT_TABLES.get(key)
-    if tables is None:
-        tables = _DEFAULT_TABLES[key] = calibrate(gpu)
-    return tables

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from repro.arch.occupancy import KernelResources, Occupancy, compute_occupancy
 from repro.arch.specs import GpuSpec, GTX285
 from repro.hw.gpu import HardwareGpu
-from repro.micro.calibration import CalibrationTables, default_tables
+from repro.micro.cache import load_or_calibrate
+from repro.micro.calibration import CalibrationTables
 from repro.model.components import ComponentModels, ComponentTimes, ZERO_TIMES
 from repro.model.extractor import (
     ModelInputs,
@@ -47,8 +48,9 @@ class AnalysisContext:
 class PerformanceModel:
     """Analyze dynamic traces into quantitative performance reports.
 
-    Without ``tables`` the model calibrates ``HardwareGpu(spec=spec)``
-    once per process (:func:`repro.micro.calibration.default_tables`).
+    Without ``tables`` the model reads ``HardwareGpu(spec=spec)``'s
+    tables from the calibration store, calibrating on a miss
+    (:func:`repro.micro.cache.load_or_calibrate`).
     ``tables`` may also be a calibration still running
     (:func:`repro.micro.start_calibrate`); it is collected the first
     time the model needs it, so the sweep overlaps whatever the caller
@@ -62,7 +64,7 @@ class PerformanceModel:
     ) -> None:
         self.spec = spec
         if tables is None:
-            tables = default_tables(HardwareGpu(spec=spec))
+            tables = load_or_calibrate(HardwareGpu(spec=spec))
         self._tables = tables
         self._models: ComponentModels | None = None
 

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import pickle
+from pathlib import Path
 
 #: Environment variable capping each on-disk cache directory's size.
 CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
@@ -23,7 +24,7 @@ DEFAULT_CACHE_MAX_BYTES = 1 << 30
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
-def default_cache_dir() -> str:
+def default_cache_dir() -> Path:
     """Cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
 
     Lives here, dependency-free, because every on-disk store keys off
@@ -32,8 +33,8 @@ def default_cache_dir() -> str:
     """
     override = os.environ.get(CACHE_DIR_ENV)
     if override:
-        return override
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro")
+        return Path(override)
+    return Path.home() / ".cache" / "repro"
 
 
 def spec_fingerprint(spec) -> str:

@@ -7,10 +7,20 @@ import pytest
 from repro.hw import HardwareGpu
 from repro.micro import calibrate
 from repro.model import PerformanceModel
+from repro.util import CACHE_DIR_ENV
 
 #: Reduced warp grid keeps session calibration fast while covering the
 #: knee and the saturated region of every curve.
 TEST_WARP_COUNTS = (1, 2, 4, 6, 8, 12, 16, 24, 32)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_cache_root(tmp_path_factory):
+    """Point the on-disk stores (``PerformanceModel()`` writes the
+    calibration store) at a session temp dir, not ``~/.cache/repro``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(CACHE_DIR_ENV, str(tmp_path_factory.mktemp("cache")))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -86,8 +86,8 @@ class TestGpuWiring:
 class TestCalibrationCaching:
     def test_default_path_calibration_is_cached(self, tmp_path, monkeypatch):
         # Regression: without --calibration the CLI used to recalibrate
-        # on every case-study invocation; now tables are cached at the
-        # default spec-keyed path.
+        # on every case-study invocation; now tables are stored in one
+        # file per (spec, timing config, sweep) at the cache root.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         from repro.__main__ import _make_model
         from repro.micro import cache as micro_cache
@@ -105,7 +105,7 @@ class TestCalibrationCaching:
         args = build_parser().parse_args(["matmul"])
         with _make_model(args):
             pass
-        assert (tmp_path / "calibration.json").exists()
+        assert len(list(tmp_path.glob("calibration-*.json"))) == 1
         with _make_model(args):
             pass
         assert len(calls) == 1
@@ -127,6 +127,13 @@ class TestCommands:
 
         tables = CalibrationTables.load(out)
         assert tables.instruction.saturated("II") > 0
+
+    def test_calibration_for_other_spec_is_refused(self, tmp_path):
+        # Regression: a GT200 file used to predict another architecture.
+        out = tmp_path / "gt200.json"
+        assert main(["calibrate", "-o", str(out), "--iterations", "4"]) == 0
+        case = ["matmul", "--n", "64", "--tile", "16", "--calibration", str(out)]
+        assert main(case + ["--spec", "fermi-like"]) == 2
 
 
 class TestAnalyzeCommand:

@@ -194,31 +194,34 @@ class TestCalibrationTables:
 
 
 class TestDefaultTables:
-    """``default_tables`` memoizes by content and follows the spec."""
+    """``PerformanceModel()`` reads the calibration store for its spec."""
 
     @pytest.fixture
-    def cheap_calibration(self, monkeypatch):
-        """A fresh memo, filled by short sweeps over the spec's grid."""
-        from repro.micro import calibration
+    def cheap_calibration(self, monkeypatch, tmp_path):
+        """An empty store, filled by short sweeps over the spec's grid."""
+        from repro.micro import cache
 
-        real = calibration.calibrate
+        real = cache.start_calibrate
         calls = []
 
-        def calibrate(gpu):
+        def start_calibrate(gpu, warp_counts, iterations):
             calls.append(gpu.spec.name)
-            return real(gpu, iterations=1)
+            return real(gpu, warp_counts, iterations=1)
 
-        monkeypatch.setattr(calibration, "_DEFAULT_TABLES", {})
-        monkeypatch.setattr(calibration, "calibrate", calibrate)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cache, "start_calibrate", start_calibrate)
         return calls
 
-    def test_fresh_gpus_share_one_tables_object(self, cheap_calibration):
-        from repro.micro import default_tables
+    def test_second_model_calibrates_nothing(self, cheap_calibration):
+        from repro.arch.registry import get_spec
+        from repro.model import PerformanceModel
 
-        first = default_tables(HardwareGpu())
-        second = default_tables(HardwareGpu())
-        assert first is second
-        assert len(cheap_calibration) == 1
+        fermi = get_spec("fermi-like")
+        first = PerformanceModel(spec=fermi)
+        second = PerformanceModel(spec=fermi)
+        assert cheap_calibration == [fermi.name]
+        assert second.tables.to_json() == first.tables.to_json()
+        assert second.tables.gpu.spec == fermi
 
     def test_model_for_spec_calibrates_that_spec(self, cheap_calibration):
         from repro.arch.registry import get_spec
